@@ -23,7 +23,7 @@ from scipy.special import expit
 from . import tensor as T
 from .data import to_one_hot
 from .errors import DomainError, ShapeError
-from .nn import cross_entropy, mask_to_logits
+from .nn import cross_entropy, mask_to_logits, mixup
 from .optim import OneCycleSchedule, RAdam, schedule_at
 from .routing import (CapsuleBatch, RoutingConfig, RoutingParams, init_params,
                       route)
@@ -63,27 +63,17 @@ class CapsuleClassifier:
 
     def param_dict(self) -> dict[str, np.ndarray]:
         """Flat name -> array view of every learnable parameter."""
-        out = {}
-        for k, (params, config) in enumerate(self.layers):
-            out[f"layer{k}.weights"] = params.weights
-            if params.biases is not None:
-                out[f"layer{k}.biases"] = params.biases
-            out[f"layer{k}.beta_use"] = params.beta_use
-            if not params.tied:
-                out[f"layer{k}.beta_ign"] = params.beta_ign
-        return out
+        return {f"layer{k}.{name}": value
+                for k, (params, _) in enumerate(self.layers)
+                for name, value in params.items()}
 
     def with_zero_betas(self) -> "CapsuleClassifier":
         """Ablated copy: every benefit/cost parameter replaced by zeros."""
-        layers = []
-        for params, config in self.layers:
-            bu = np.zeros_like(np.asarray(params.beta_use))
-            bi = bu if params.tied else np.zeros_like(np.asarray(params.beta_ign))
-            layers.append((RoutingParams(
-                np.array(params.weights, copy=True),
-                None if params.biases is None
-                else np.array(params.biases, copy=True),
-                bu, bi), config))
+        layers = [(RoutingParams.from_items(
+            (name, np.zeros_like(value) if name.startswith("beta")
+             else np.array(value, copy=True))
+            for name, value in params.items()), config)
+            for params, config in self.layers]
         return CapsuleClassifier(layers, self.n_classes)
 
 
@@ -156,11 +146,10 @@ def _mix_batch(scores, poses, targets, lam: float, rng) -> tuple:
     do; poses and label rows mix linearly with the same weight.
     """
     perm = rng.permutation(len(scores))
-    mixed_probs = lam * expit(scores) + (1.0 - lam) * expit(scores[perm])
-    mixed_scores = mask_to_logits(mixed_probs)
-    mixed_poses = lam * poses + (1.0 - lam) * poses[perm]
-    mixed_targets = lam * targets + (1.0 - lam) * targets[perm]
-    return mixed_scores, mixed_poses, mixed_targets
+    (mixed_probs, mixed_poses), mixed_targets = mixup(
+        ((expit(scores), poses), targets),
+        ((expit(scores[perm]), poses[perm]), targets[perm]), lam=lam)
+    return mask_to_logits(mixed_probs), mixed_poses, mixed_targets
 
 
 def _batch_gradients(model: CapsuleClassifier, scores, poses, targets,
@@ -182,14 +171,9 @@ def _batch_gradients(model: CapsuleClassifier, scores, poses, targets,
         outs = model.forward(caps, tracked_layers=tracked)
         loss = cross_entropy(outs[-1].scores, targets[lo:hi])
         grads = T.backward(tape, loss)
-        named = {}
-        for k, (tp, _) in enumerate(tracked):
-            named[f"layer{k}.weights"] = grads.get(tp.weights.node)
-            if tp.biases is not None:
-                named[f"layer{k}.biases"] = grads.get(tp.biases.node)
-            named[f"layer{k}.beta_use"] = grads.get(tp.beta_use.node)
-            if not tp.tied:
-                named[f"layer{k}.beta_ign"] = grads.get(tp.beta_ign.node)
+        named = {f"layer{k}.{name}": grads.get(value.node)
+                 for k, (tp, _) in enumerate(tracked)
+                 for name, value in tp.items()}
         return loss.item(), named, hi - lo
 
     if shards == 1:

@@ -249,15 +249,9 @@ def _gradcheck_suite(seed: int):
             cfg = RoutingConfig(n_out="variable", d_cov=2, d_in=2, d_out=2,
                                 n_iters=3)
         params = init_params(cfg, int(rng.integers(2 ** 31)))
-        w = np.asarray(params.weights)
-        w += rng.normal(0, 0.3, size=w.shape)
-        if params.biases is not None:
-            params.biases += rng.normal(0, 0.3, size=params.biases.shape)
-        bu = np.atleast_1d(np.asarray(params.beta_use))
-        bu += rng.normal(0, 0.3, size=bu.shape)
-        if not params.tied:
-            bi = np.atleast_1d(np.asarray(params.beta_ign))
-            bi += rng.normal(0, 0.3, size=bi.shape)
+        for _, value in params.items():
+            view = np.atleast_1d(value)  # a view, so scalars update in place
+            view += rng.normal(0, 0.3, size=view.shape)
         n = 3
         caps = CapsuleBatch(rng.uniform(-2, 2, size=(1, n)),
                             rng.normal(size=(1, n, 2, 2)))
@@ -271,21 +265,15 @@ def _gradcheck_suite(seed: int):
 def _instance_grad_error(cfg, params, caps, out_bias) -> float:
     """Max relative error over every differentiable input of route()."""
     worst = 0.0
-    fields = {"weights": params.weights, "beta_use": params.beta_use,
-              "scores": T.asarray(caps.scores), "poses": T.asarray(caps.poses)}
-    if params.biases is not None:
-        fields["biases"] = params.biases
-    if not params.tied:
-        fields["beta_ign"] = params.beta_ign
+    fields = dict(params.items(), scores=T.asarray(caps.scores),
+                  poses=T.asarray(caps.poses))
 
     for name, value in fields.items():
         def f(x):
             vals = {k: T.tensor(np.asarray(v)) for k, v in fields.items()}
             vals[name] = x
-            beta_ign = vals["beta_use"] if params.tied else vals["beta_ign"]
-            p = RoutingParams(vals["weights"], vals.get("biases"),
-                              vals["beta_use"], beta_ign)
-            c = CapsuleBatch(vals["scores"], vals["poses"])
+            c = CapsuleBatch(vals.pop("scores"), vals.pop("poses"))
+            p = RoutingParams.from_items(vals.items())
             out = route(p, c, cfg, out_bias=out_bias)
             return reduce_sum(square(out.scores)) \
                 + reduce_sum(square(out.poses)) \

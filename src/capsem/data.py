@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import struct
 from dataclasses import dataclass, fields
 
@@ -29,7 +30,7 @@ from .errors import (ConfigError, DataFormatError, FormatVersionError,
                      ShapeError)
 from .nn import mask_to_logits
 from .routing import (LOGIT_MAX, CapsuleBatch, RoutingConfig, RoutingParams,
-                      clamp_scores)
+                      clamp_scores, learned_shapes)
 from .tensor import Tensor
 
 
@@ -233,16 +234,15 @@ def oracle_accuracy(spec: ConstellationSpec, batch: CapsuleBatch,
 # embedding ingestion
 
 
-def ingest_embeddings(vectors: np.ndarray, mask: np.ndarray, d_cov: int = 1,
-                      channels=None, channel_table=None) -> CapsuleBatch:
+def ingest_embeddings(vectors: np.ndarray, mask: np.ndarray,
+                      d_cov: int = 1) -> CapsuleBatch:
     """Turn a matrix of external embedding vectors into capsules.
 
     ``vectors`` is (n, m) for one sample or (batch, n, m); each length-m
     vector becomes one capsule of shape (d_cov, m / d_cov). ``mask``
-    values in [0, 1] become scores through their clamped log-odds.
-    Optional integer ``channels`` (one id per vector) select rows of
-    ``channel_table`` added to the vectors before reshaping, tagging
-    each capsule's provenance.
+    values in [0, 1] become scores through their clamped log-odds. To tag
+    each capsule's provenance, add :func:`capsem.nn.channel_embedding`
+    rows to the vectors first.
     """
     vectors = np.asarray(vectors, dtype=T.get_default_dtype())
     if vectors.ndim not in (2, 3):
@@ -252,13 +252,6 @@ def ingest_embeddings(vectors: np.ndarray, mask: np.ndarray, d_cov: int = 1,
     if m % d_cov != 0:
         raise ShapeError(f"vector length {m} is not divisible by d_cov={d_cov}")
     d_in = m // d_cov
-    if channels is not None:
-        table = np.asarray(channel_table)
-        ids = np.asarray(channels)
-        if ids.shape != vectors.shape[:-1]:
-            raise ShapeError(f"channels {ids.shape} must match vectors "
-                             f"{vectors.shape[:-1]}")
-        vectors = vectors + table[ids]
     scores = mask_to_logits(mask)
     poses = vectors.reshape(vectors.shape[:-1] + (d_cov, d_in))
     if scores.shape != vectors.shape[:-1]:
@@ -423,6 +416,19 @@ def _config_dims(config: RoutingConfig) -> tuple[int, int]:
     return n_in, n_out
 
 
+def _stored_arrays(params: RoutingParams,
+                   config: RoutingConfig) -> dict[str, np.ndarray]:
+    """The independent fields of ``params``, checked against the layout
+    of ``config`` so that a written file reads back."""
+    arrays = {name: _arr(value) for name, value in params.items()}
+    found = {name: a.shape for name, a in arrays.items()}
+    expected = learned_shapes(config)
+    if found != expected:
+        raise ShapeError(f"parameter shapes {found} do not match the "
+                         f"{config.mode} layout {expected}")
+    return arrays
+
+
 def _write_layer(buf, params: RoutingParams, config: RoutingConfig,
                  code: int) -> None:
     le = _DTYPE_CODES[code]
@@ -433,12 +439,8 @@ def _write_layer(buf, params: RoutingParams, config: RoutingConfig,
         n_in, n_out, config.d_cov, config.d_in, config.d_out,
         config.n_iters, config.var_floor, config.denom_eps,
     ))
-    buf.write(np.ascontiguousarray(_arr(params.weights)).astype(le).tobytes())
-    if config.mode != "variable_output":
-        buf.write(np.ascontiguousarray(_arr(params.biases)).astype(le).tobytes())
-    buf.write(np.ascontiguousarray(np.atleast_1d(_arr(params.beta_use))).astype(le).tobytes())
-    if not config.tie_betas:
-        buf.write(np.ascontiguousarray(np.atleast_1d(_arr(params.beta_ign))).astype(le).tobytes())
+    for a in _stored_arrays(params, config).values():
+        buf.write(np.ascontiguousarray(a).astype(le).tobytes())
 
 
 def _read_layer(r: _Reader, dtype: np.dtype) -> tuple[RoutingParams, RoutingConfig]:
@@ -454,29 +456,11 @@ def _read_layer(r: _Reader, dtype: np.dtype) -> tuple[RoutingParams, RoutingConf
         tie_betas=bool(tie), var_floor=var_floor, denom_eps=denom_eps,
     )
     native = dtype.newbyteorder("=")
-    if mode == "fixed":
-        wshape = (n_in, n_out, d_in, d_out)
-        bshape = (n_in, n_out, d_cov, d_out)
-        beta_shape = (n_in, n_out)
-    elif mode == "variable_input":
-        wshape = (n_out, d_in, d_out)
-        bshape = (n_out, d_cov, d_out)
-        beta_shape = (n_out,)
-    else:
-        wshape = (d_in, d_out)
-        bshape = None
-        beta_shape = ()
-    weights = r.floats(dtype, int(np.prod(wshape))).reshape(wshape).astype(native)
-    biases = None
-    if bshape is not None:
-        biases = r.floats(dtype, int(np.prod(bshape))).reshape(bshape).astype(native)
-    n_beta = max(int(np.prod(beta_shape)), 1) if beta_shape != () else 1
-    beta_use = r.floats(dtype, n_beta).reshape(beta_shape).astype(native)
-    if tie:
-        beta_ign = beta_use
-    else:
-        beta_ign = r.floats(dtype, n_beta).reshape(beta_shape).astype(native)
-    return RoutingParams(weights, biases, beta_use, beta_ign), config
+    # math.prod: header dims are untrusted and np.prod would overflow
+    params = RoutingParams.from_items(
+        (name, r.floats(dtype, math.prod(shape)).reshape(shape).astype(native))
+        for name, shape in learned_shapes(config).items())
+    return params, config
 
 
 def write_params(path, params: RoutingParams, config: RoutingConfig) -> None:
@@ -516,13 +500,9 @@ def _write_params_json(path, params: RoutingParams,
         "n_iters": config.n_iters,
         "var_floor": config.var_floor,
         "denom_eps": config.denom_eps,
-        "weights": _arr(params.weights).tolist(),
-        "beta_use": _arr(params.beta_use).tolist(),
     }
-    if params.biases is not None:
-        doc["biases"] = _arr(params.biases).tolist()
-    if not config.tie_betas:
-        doc["beta_ign"] = _arr(params.beta_ign).tolist()
+    doc.update((name, a.tolist())
+               for name, a in _stored_arrays(params, config).items())
     with open(path, "w") as f:
         json.dump(doc, f)
 
@@ -549,14 +529,23 @@ def _read_params_json(path) -> tuple[RoutingParams, RoutingConfig]:
         var_floor=doc["var_floor"], denom_eps=doc["denom_eps"],
     )
     dt = T.get_default_dtype()
-    weights = np.array(doc["weights"], dtype=dt)
-    biases = None
-    if mode != "variable_output":
-        biases = np.array(doc["biases"], dtype=dt)
-    beta_use = np.array(doc["beta_use"], dtype=dt)
-    beta_ign = beta_use if config.tie_betas \
-        else np.array(doc["beta_ign"], dtype=dt)
-    return RoutingParams(weights, biases, beta_use, beta_ign), config
+    params = RoutingParams.from_items(
+        (name, _json_array(doc, name, shape, dt))
+        for name, shape in learned_shapes(config).items())
+    return params, config
+
+
+def _json_array(doc: dict, name: str, shape: tuple, dtype) -> np.ndarray:
+    if name not in doc:
+        raise DataFormatError(f"routing_params document has no {name!r}")
+    try:
+        arr = np.array(doc[name], dtype=dtype)
+    except (TypeError, ValueError) as e:
+        raise DataFormatError(f"{name!r} is not a numeric array ({e})") from None
+    if arr.shape != shape:
+        raise DataFormatError(
+            f"{name!r} has shape {arr.shape}, expected {shape}")
+    return arr
 
 
 def write_model(path, layers, n_classes: int) -> None:

@@ -97,12 +97,9 @@ class RoutingConfig:
 class RoutingParams:
     """Learnable state of one layer; fields are ndarrays or tracked tensors.
 
-    Shapes by mode (fixed / variable_input / variable_output):
-
-      weights   (n_in, n_out, d_in, d_out) / (n_out, d_in, d_out) / (d_in, d_out)
-      biases    (n_in, n_out, d_cov, d_out) / (n_out, d_cov, d_out) / None
-      beta_use  (n_in, n_out) / (n_out,) / scalar
-      beta_ign  same as beta_use; the identical object when betas are tied
+    :func:`param_shapes` gives each field's shape per sharing mode.
+    ``biases`` is None in variable_output mode, and ``beta_ign`` is the
+    identical object as ``beta_use`` when betas are tied.
     """
 
     weights: Union[np.ndarray, Tensor]
@@ -114,13 +111,29 @@ class RoutingParams:
     def tied(self) -> bool:
         return self.beta_ign is self.beta_use
 
+    def items(self):
+        """Yield (name, value) for each independent learned field, in
+        field order: absent biases and a tied beta_ign are skipped."""
+        yield "weights", self.weights
+        if self.biases is not None:
+            yield "biases", self.biases
+        yield "beta_use", self.beta_use
+        if not self.tied:
+            yield "beta_ign", self.beta_ign
+
+    @classmethod
+    def from_items(cls, items) -> "RoutingParams":
+        """Inverse of :meth:`items`: a missing ``biases`` is None, a
+        missing ``beta_ign`` ties it to ``beta_use``."""
+        fields = dict(items)
+        beta_use = fields["beta_use"]
+        return cls(fields["weights"], fields.get("biases"), beta_use,
+                   fields.get("beta_ign", beta_use))
+
     def tracked(self, tape: T.Tape) -> "RoutingParams":
         """Re-wrap every field as a tracked leaf on ``tape``."""
-        w = tape.leaf(self.weights)
-        b = None if self.biases is None else tape.leaf(self.biases)
-        bu = tape.leaf(self.beta_use)
-        bi = bu if self.tied else tape.leaf(self.beta_ign)
-        return RoutingParams(w, b, bu, bi)
+        return RoutingParams.from_items(
+            (name, tape.leaf(value)) for name, value in self.items())
 
 
 @dataclass(frozen=True)
@@ -214,53 +227,55 @@ class RoutingTrace:
 # parameter setup
 
 
+def param_shapes(config: RoutingConfig) -> dict[str, tuple[int, ...] | None]:
+    """Shape of each RoutingParams field in the configured sharing mode.
+
+    Weights, biases and betas are indexed per (input, output) pair in
+    fixed mode, per output in variable_input mode, and shared by every
+    pair in variable_output mode, whose symmetry-breaking bias is
+    supplied per call, not learned (``biases`` is None).
+    """
+    mode = config.mode
+    if mode == "fixed":
+        pair = (config.n_in, config.n_out)
+    elif mode == "variable_input":
+        pair = (config.n_out,)
+    else:
+        pair = ()
+    return {
+        "weights": pair + (config.d_in, config.d_out),
+        "biases": None if mode == "variable_output"
+        else pair + (config.d_cov, config.d_out),
+        "beta_use": pair,
+        "beta_ign": pair,
+    }
+
+
+def learned_shapes(config: RoutingConfig) -> dict[str, tuple[int, ...]]:
+    """The shapes of the fields :meth:`RoutingParams.items` yields for
+    parameters of ``config``, in the same order."""
+    return {name: shape for name, shape in param_shapes(config).items()
+            if shape is not None
+            and not (name == "beta_ign" and config.tie_betas)}
+
+
 def init_params(config: RoutingConfig, seed: int) -> RoutingParams:
     """Fresh parameters: weights ~ Normal(0, (1/d_in)^2), all else zero."""
     rng = np.random.default_rng(seed)
     std = 1.0 / config.d_in
     dt = T.get_default_dtype()
-    mode = config.mode
-    if mode == "fixed":
-        wshape = (config.n_in, config.n_out, config.d_in, config.d_out)
-        bshape = (config.n_in, config.n_out, config.d_cov, config.d_out)
-        beta_shape = (config.n_in, config.n_out)
-    elif mode == "variable_input":
-        wshape = (config.n_out, config.d_in, config.d_out)
-        bshape = (config.n_out, config.d_cov, config.d_out)
-        beta_shape = (config.n_out,)
-    else:
-        wshape = (config.d_in, config.d_out)
-        bshape = None
-        beta_shape = ()
-    weights = rng.normal(0.0, std, size=wshape).astype(dt)
-    biases = None if bshape is None else np.zeros(bshape, dtype=dt)
-    beta_use = np.zeros(beta_shape, dtype=dt)
-    beta_ign = beta_use if config.tie_betas else np.zeros(beta_shape, dtype=dt)
-    return RoutingParams(weights, biases, beta_use, beta_ign)
+    return RoutingParams.from_items(
+        (name, rng.normal(0.0, std, size=shape).astype(dt)
+         if name == "weights" else np.zeros(shape, dtype=dt))
+        for name, shape in learned_shapes(config).items())
 
 
 def param_count(config: RoutingConfig) -> ParamCount:
     """Exact learned-parameter counts for the configured sharing mode."""
-    n_beta = 1 if config.tie_betas else 2
-    mode = config.mode
-    if mode == "fixed":
-        pairs = config.n_in * config.n_out
-        return ParamCount(
-            weights=pairs * config.d_in * config.d_out,
-            biases=pairs * config.d_cov * config.d_out,
-            betas=n_beta * pairs,
-        )
-    if mode == "variable_input":
-        return ParamCount(
-            weights=config.n_out * config.d_in * config.d_out,
-            biases=config.n_out * config.d_cov * config.d_out,
-            betas=n_beta * config.n_out,
-        )
-    return ParamCount(
-        weights=config.d_in * config.d_out,
-        biases=0,  # symmetry-breaking bias is supplied per call, not learned
-        betas=n_beta,
-    )
+    sizes = {name: math.prod(shape)
+             for name, shape in learned_shapes(config).items()}
+    return ParamCount(weights=sizes["weights"], biases=sizes.get("biases", 0),
+                      betas=sizes["beta_use"] + sizes.get("beta_ign", 0))
 
 
 # ---------------------------------------------------------------------------
@@ -404,12 +419,10 @@ def route(params: RoutingParams, caps: CapsuleBatch, config: RoutingConfig,
     state: RoutingOutput | None = None
     steps: list[IterationTrace] = []
     for it in range(config.n_iters):
-        if it == 0:
-            probs = e_step(votes, None, first_iter=True)
-            log_dens = None
-        else:
-            log_dens = _log_densities(votes, state)
-            probs = _assignment_probs(log_dens, state.scores)
+        probs = e_step(votes, state, first_iter=(it == 0))
+        log_dens = None
+        if want_trace and it > 0:
+            log_dens = _log_densities(votes, state).data
         used, ignored = d_step(in_scores, probs)
         state = m_step(votes, used, ignored, params, config)
         if want_trace:
@@ -417,8 +430,7 @@ def route(params: RoutingParams, caps: CapsuleBatch, config: RoutingConfig,
                 probs=np.array(probs.data, copy=True),
                 used=np.array(used.data, copy=True),
                 ignored=np.array(ignored.data, copy=True),
-                log_densities=None if log_dens is None
-                else np.array(log_dens.data, copy=True),
+                log_densities=log_dens,
                 scores=np.array(state.scores.data, copy=True),
             ))
     if want_trace:

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from capsem.routing import CapsuleBatch, RoutingConfig, RoutingParams
+from capsem.routing import (CapsuleBatch, RoutingConfig, RoutingParams,
+                            learned_shapes)
 
 
 def random_config(rng, mode="fixed", tie=False, small=False, n_iters=None):
@@ -29,25 +30,9 @@ def random_config(rng, mode="fixed", tie=False, small=False, n_iters=None):
 
 
 def random_params(rng, config, scale=0.5):
-    mode = config.mode
-    if mode == "fixed":
-        wshape = (config.n_in, config.n_out, config.d_in, config.d_out)
-        bshape = (config.n_in, config.n_out, config.d_cov, config.d_out)
-        beta_shape = (config.n_in, config.n_out)
-    elif mode == "variable_input":
-        wshape = (config.n_out, config.d_in, config.d_out)
-        bshape = (config.n_out, config.d_cov, config.d_out)
-        beta_shape = (config.n_out,)
-    else:
-        wshape = (config.d_in, config.d_out)
-        bshape = None
-        beta_shape = ()
-    w = rng.normal(0.0, scale, size=wshape)
-    b = None if bshape is None else rng.normal(0.0, scale, size=bshape)
-    beta_use = rng.normal(0.0, scale, size=beta_shape)
-    beta_ign = beta_use if config.tie_betas else rng.normal(0.0, scale,
-                                                            size=beta_shape)
-    return RoutingParams(w, b, beta_use, beta_ign)
+    return RoutingParams.from_items(
+        (name, rng.normal(0.0, scale, size=shape))
+        for name, shape in learned_shapes(config).items())
 
 
 def random_caps(rng, config, batch=2, n=None, score_span=3.0):

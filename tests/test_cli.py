@@ -1,5 +1,6 @@
 import csv
 import json
+import struct
 import subprocess
 import sys
 
@@ -264,6 +265,18 @@ def test_inspect_reports_sharing_factors(toy_files, capsys):
     assert "mode=fixed" in out
     assert "factor=32 (= n_in)" in out
     assert "weight_factor=160 (= n_in*n_out)" in out
+
+
+def test_inspect_rejects_oversized_model_dims(tmp_path, capsys):
+    # kind-3 model, one fixed layer whose dims all read 2**32 - 1
+    huge = 2 ** 32 - 1
+    path = tmp_path / "huge.caps"
+    path.write_bytes(b"CAPS" + struct.pack("<HBB", 1, 3, 1)
+                     + struct.pack("<II", 1, 2)
+                     + struct.pack("<BB5I I dd", 0, 0, huge, huge, huge,
+                                   huge, huge, 3, 1e-8, 1e-12))
+    assert main(["inspect", "--model", str(path)]) == 2
+    assert "truncated payload" in capsys.readouterr().err
 
 
 def test_usage_error_exits_1():

@@ -1,5 +1,8 @@
+import json
+
 import numpy as np
 import pytest
+from conftest import random_params
 
 from capsem import data as D
 from capsem.errors import (ConfigError, DataFormatError, DomainError,
@@ -169,23 +172,31 @@ def test_capsule_file_payload_length_arithmetic(tmp_path):
     assert path.stat().st_size == header + payload
 
 
+_LAYOUTS = (
+    RoutingConfig(n_out=3, n_in=4, d_cov=2, d_in=2, d_out=3),
+    RoutingConfig(n_out=3, n_in=4, d_cov=2, d_in=2, d_out=3, tie_betas=True),
+    RoutingConfig(n_out=3, d_cov=2, d_in=2, d_out=3, tie_betas=True),
+    RoutingConfig(n_out="variable", d_cov=2, d_in=2, d_out=3),
+)
+
+
+def _assert_same_params(back, p):
+    assert back.tied == p.tied
+    got = dict(back.items())
+    assert list(got) == [name for name, _ in p.items()]
+    for name, value in p.items():
+        np.testing.assert_array_equal(got[name], value)
+
+
 def test_params_file_round_trip(tmp_path):
-    for mode_cfg in (
-        RoutingConfig(n_out=3, n_in=4, d_cov=2, d_in=2, d_out=3),
-        RoutingConfig(n_out=3, d_cov=2, d_in=2, d_out=3, tie_betas=True),
-        RoutingConfig(n_out="variable", d_cov=2, d_in=2, d_out=3),
-    ):
-        p = init_params(mode_cfg, seed=17)
-        path = tmp_path / f"{mode_cfg.mode}.caps"
+    rng = np.random.default_rng(17)
+    for k, mode_cfg in enumerate(_LAYOUTS):
+        p = random_params(rng, mode_cfg)
+        path = tmp_path / f"{k}.caps"
         D.write_params(path, p, mode_cfg)
         back, cfg = D.read_params(path)
         assert cfg == mode_cfg
-        np.testing.assert_array_equal(back.weights, p.weights)
-        if p.biases is None:
-            assert back.biases is None
-        else:
-            np.testing.assert_array_equal(back.biases, p.biases)
-        assert back.tied == p.tied
+        _assert_same_params(back, p)
 
 
 def test_capsule_file_float32_round_trip(tmp_path):
@@ -202,18 +213,36 @@ def test_capsule_file_float32_round_trip(tmp_path):
 
 
 def test_params_json_round_trip(tmp_path):
-    for cfg in (
-        RoutingConfig(n_out=3, n_in=4, d_cov=2, d_in=2, d_out=3),
-        RoutingConfig(n_out=3, d_cov=2, d_in=2, d_out=3, tie_betas=True),
-        RoutingConfig(n_out="variable", d_cov=2, d_in=2, d_out=3),
-    ):
-        p = init_params(cfg, seed=23)
-        path = tmp_path / f"{cfg.mode}.json"
+    rng = np.random.default_rng(23)
+    for k, cfg in enumerate(_LAYOUTS):
+        p = random_params(rng, cfg)
+        path = tmp_path / f"{k}.json"
         D.write_params(path, p, cfg)
         back, back_cfg = D.read_params(path)
         assert back_cfg == cfg
-        np.testing.assert_array_equal(back.weights, p.weights)
-        assert back.tied == p.tied
+        _assert_same_params(back, p)
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (lambda doc: doc.update(weights=doc["weights"][:-1]), "shape"),
+    (lambda doc: doc.pop("biases"), "biases"),
+])
+def test_params_json_rejects_malformed_arrays(tmp_path, corrupt, message):
+    cfg = _LAYOUTS[0]
+    path = tmp_path / "params.json"
+    D.write_params(path, init_params(cfg, seed=0), cfg)
+    doc = json.loads(path.read_text())
+    corrupt(doc)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(DataFormatError, match=message):
+        D.read_params(path)
+
+
+def test_params_writer_rejects_params_of_another_layout(tmp_path):
+    untied = _LAYOUTS[0]
+    tied = init_params(_LAYOUTS[1], seed=0)
+    with pytest.raises(ShapeError, match="layout"):
+        D.write_params(tmp_path / "p.caps", tied, untied)
 
 
 def test_model_file_round_trip(tmp_path):
@@ -266,15 +295,6 @@ def test_ingest_rejects_indivisible_length():
 def test_ingest_rejects_bad_mask():
     with pytest.raises(DomainError):
         D.ingest_embeddings(np.zeros((2, 4)), np.array([0.5, 1.5]))
-
-
-def test_ingest_applies_channel_embedding():
-    vectors = np.zeros((4, 6))
-    table = np.arange(12.0).reshape(2, 6)
-    ids = np.array([0, 1, 1, 0])
-    caps = D.ingest_embeddings(vectors, np.ones(4), d_cov=1,
-                               channels=ids, channel_table=table)
-    np.testing.assert_array_equal(np.asarray(caps.poses)[:, 0, :], table[ids])
 
 
 def test_ingest_batched_vectors():
