@@ -9,9 +9,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import tensor as T
 from .errors import DomainError, ShapeError
 from .routing import RoutingTrace
-from .tensor import Tensor
 
 
 @dataclass
@@ -38,8 +38,7 @@ def pose_trajectory_metrics(poses) -> PoseTrajectoryMetrics:
     (T, d_cov, d) array). Step 0 is the reference: rel_dist 0,
     norm_ratio 1, cosine 1. Initial vectors must be nonzero.
     """
-    arr = np.asarray([p.data if isinstance(p, Tensor) else p for p in poses],
-                     dtype=np.float64)
+    arr = np.asarray([T.asarray(p) for p in poses], dtype=np.float64)
     if arr.ndim != 3 or arr.shape[0] < 1:
         raise ShapeError(
             f"expected a nonempty sequence of (d_cov, d) capsules, got "

@@ -98,7 +98,15 @@ def cmd_train(args) -> int:
     train_cfg = _take_section(config, "train", _TRAIN_KEYS)
     data_cfg = _take_section(config, "data", _DATA_KEYS)
 
-    seed = args.seed if args.seed is not None else train_cfg.get("seed", 0)
+    # TrainRegime gets only the keys the config or a flag sets: the
+    # defaults live in TrainRegime alone
+    regime_cfg = {k: v for k, v in train_cfg.items()
+                  if k not in ("train_samples", "test_samples")}
+    overrides = {"epochs": args.epochs, "seed": args.seed,
+                 "threads": args.threads,
+                 "mixup": False if args.no_mixup else None}
+    regime_cfg.update((k, v) for k, v in overrides.items() if v is not None)
+    regime = TrainRegime(**regime_cfg)
 
     if args.task == "constellation":
         spec = spec_from_dict(task_cfg)
@@ -124,31 +132,8 @@ def cmd_train(args) -> int:
         d_cov, d_in = poses.shape[-2], poses.shape[-1]
         n_classes = int(np.max(train_labels)) + 1
 
-    model = build_constellation_classifier(
-        d_cov, d_in, n_classes,
-        n_mid=model_cfg.get("n_mid", 32),
-        d_mid=model_cfg.get("d_mid", 4),
-        d_out=model_cfg.get("d_out", 4),
-        n_iters=model_cfg.get("n_iters", 3),
-        tie_betas=model_cfg.get("tie_betas", False),
-        var_floor=model_cfg.get("var_floor", 1e-2),
-        seed=seed,
-    )
-    regime = TrainRegime(
-        epochs=args.epochs if args.epochs is not None
-        else train_cfg.get("epochs", 5),
-        batch_size=train_cfg.get("batch_size", 20),
-        lr_start=train_cfg.get("lr_start", 2e-4),
-        lr_peak=train_cfg.get("lr_peak", 1e-2),
-        beta1_start=train_cfg.get("beta1_start", 0.999),
-        beta1_peak=train_cfg.get("beta1_peak", 0.9 * 0.999),
-        warm_frac=train_cfg.get("warm_frac", 0.10),
-        mixup=False if args.no_mixup else train_cfg.get("mixup", True),
-        mixup_alpha=tuple(train_cfg.get("mixup_alpha", (0.2, 0.2))),
-        seed=seed,
-        threads=args.threads if args.threads is not None
-        else train_cfg.get("threads", 1),
-    )
+    model = build_constellation_classifier(d_cov, d_in, n_classes,
+                                           seed=regime.seed, **model_cfg)
 
     rows = []
 
@@ -270,7 +255,7 @@ def _instance_grad_error(cfg, params, caps, out_bias) -> float:
 
     for name, value in fields.items():
         def f(x):
-            vals = {k: T.tensor(np.asarray(v)) for k, v in fields.items()}
+            vals = {k: T.tensor(v) for k, v in fields.items()}
             vals[name] = x
             c = CapsuleBatch(vals.pop("scores"), vals.pop("poses"))
             p = RoutingParams.from_items(vals.items())

@@ -31,11 +31,6 @@ from .errors import (ConfigError, DataFormatError, FormatVersionError,
 from .nn import mask_to_logits
 from .routing import (LOGIT_MAX, CapsuleBatch, RoutingConfig, RoutingParams,
                       clamp_scores, learned_shapes)
-from .tensor import Tensor
-
-
-def _arr(x) -> np.ndarray:
-    return x.data if isinstance(x, Tensor) else np.asarray(x)
 
 # ---------------------------------------------------------------------------
 # constellation generator
@@ -155,26 +150,24 @@ def gen_constellation(spec: ConstellationSpec, n_samples: int, start: int = 0):
 
 def make_dataset(spec: ConstellationSpec, n_samples: int,
                  start: int = 0) -> tuple[CapsuleBatch, np.ndarray]:
-    """Stack a generated range into one batch plus its labels."""
+    """Stack a generated range into one float64 batch plus its labels."""
     all_scores, all_poses, labels = [], [], []
     for scores, poses, label in gen_constellation(spec, n_samples, start):
         all_scores.append(scores)
         all_poses.append(poses)
         labels.append(label)
-    dt = T.get_default_dtype()
     if n_samples == 0:
         shape = (0, spec.caps_per_sample, spec.d_cov, spec.d_in)
-        return (CapsuleBatch(np.zeros(shape[:2], dtype=dt),
-                             np.zeros(shape, dtype=dt)),
+        return (CapsuleBatch(np.zeros(shape[:2]), np.zeros(shape)),
                 np.zeros(0, dtype=np.int64))
-    batch = CapsuleBatch(clamp_scores(np.array(all_scores, dtype=dt)),
-                         np.array(all_poses, dtype=dt))
+    batch = CapsuleBatch(clamp_scores(np.array(all_scores)),
+                         np.array(all_poses))
     return batch, np.array(labels, dtype=np.int64)
 
 
 def to_one_hot(labels: np.ndarray, n_classes: int) -> np.ndarray:
     labels = np.asarray(labels)
-    out = np.zeros((labels.size, n_classes), dtype=T.get_default_dtype())
+    out = np.zeros((labels.size, n_classes))
     out[np.arange(labels.size), labels] = 1.0
     return out
 
@@ -221,8 +214,8 @@ def nearest_template_classify(spec: ConstellationSpec, scores: np.ndarray,
 
 def oracle_accuracy(spec: ConstellationSpec, batch: CapsuleBatch,
                     labels: np.ndarray) -> float:
-    scores = _arr(batch.scores)
-    poses = _arr(batch.poses)
+    scores = T.asarray(batch.scores)
+    poses = T.asarray(batch.poses)
     hits = sum(
         nearest_template_classify(spec, scores[i], poses[i]) == labels[i]
         for i in range(len(labels))
@@ -240,11 +233,12 @@ def ingest_embeddings(vectors: np.ndarray, mask: np.ndarray,
 
     ``vectors`` is (n, m) for one sample or (batch, n, m); each length-m
     vector becomes one capsule of shape (d_cov, m / d_cov). ``mask``
-    values in [0, 1] become scores through their clamped log-odds. To tag
+    values in [0, 1] become scores through their clamped log-odds. Poses
+    and scores are float32 if vectors and mask are, else float64. To tag
     each capsule's provenance, add :func:`capsem.nn.channel_embedding`
     rows to the vectors first.
     """
-    vectors = np.asarray(vectors, dtype=T.get_default_dtype())
+    vectors = T.float_array(vectors)
     if vectors.ndim not in (2, 3):
         raise ShapeError(f"vectors must be (n, m) or (batch, n, m), got "
                          f"{vectors.shape}")
@@ -339,8 +333,8 @@ def write_capsules(path, batch: CapsuleBatch, labels=None) -> None:
         _write_capsules_json(path, batch, labels)
         return
     batch = batch.batched()
-    scores = np.ascontiguousarray(_arr(batch.scores))
-    poses = np.ascontiguousarray(_arr(batch.poses))
+    scores = np.ascontiguousarray(T.asarray(batch.scores))
+    poses = np.ascontiguousarray(T.asarray(batch.poses))
     b, n, d_cov, d_in = poses.shape
     code = _dtype_code(poses)
     le = _DTYPE_CODES[code]
@@ -385,8 +379,8 @@ def _write_capsules_json(path, batch, labels) -> None:
         "format": "caps-json",
         "version": FORMAT_VERSION,
         "kind": "capsule_batch",
-        "scores": _arr(batch.scores).tolist(),
-        "poses": _arr(batch.poses).tolist(),
+        "scores": T.asarray(batch.scores).tolist(),
+        "poses": T.asarray(batch.poses).tolist(),
     }
     if labels is not None:
         doc["labels"] = np.asarray(labels).tolist()
@@ -394,20 +388,49 @@ def _write_capsules_json(path, batch, labels) -> None:
         json.dump(doc, f)
 
 
-def _read_capsules_json(path):
+def _load_caps_json(path, kind: str) -> dict:
+    """The caps-json document of ``kind`` stored at ``path``."""
     with open(path) as f:
-        doc = json.load(f)
-    if doc.get("format") != "caps-json":
+        try:
+            doc = json.load(f)
+        except (ValueError, RecursionError) as e:
+            # undecodable text, invalid JSON, or nesting too deep to decode
+            raise DataFormatError(f"{path}: invalid JSON ({e})") from None
+    if not isinstance(doc, dict) or doc.get("format") != "caps-json":
         raise DataFormatError("not a caps-json document")
     if doc.get("version") != FORMAT_VERSION:
         raise FormatVersionError(f"unsupported version {doc.get('version')}")
-    if doc.get("kind") != "capsule_batch":
-        raise DataFormatError(f"expected capsule_batch, found {doc.get('kind')}")
-    dt = T.get_default_dtype()
-    labels = doc.get("labels")
-    return (CapsuleBatch(np.array(doc["scores"], dtype=dt),
-                         np.array(doc["poses"], dtype=dt)),
-            None if labels is None else np.asarray(labels, dtype=np.int64))
+    if doc.get("kind") != kind:
+        raise DataFormatError(f"expected {kind}, found {doc.get('kind')}")
+    return doc
+
+
+def _json_array(doc: dict, name: str, shape: tuple | None = None,
+                dtype=np.float64) -> np.ndarray:
+    """``doc[name]`` as an array, of ``shape`` when given."""
+    if name not in doc:
+        raise DataFormatError(f"{doc['kind']} document has no {name!r}")
+    try:
+        arr = np.array(doc[name], dtype=dtype)
+    except (TypeError, ValueError) as e:
+        raise DataFormatError(f"{name!r} is not a numeric array ({e})") from None
+    if shape is not None and arr.shape != shape:
+        raise DataFormatError(
+            f"{name!r} has shape {arr.shape}, expected {shape}")
+    return arr
+
+
+def _read_capsules_json(path):
+    doc = _load_caps_json(path, "capsule_batch")
+    scores = _json_array(doc, "scores")
+    try:
+        batch = CapsuleBatch(scores, _json_array(doc, "poses"))
+    except ShapeError as e:
+        raise DataFormatError(f"capsule_batch: {e}") from None
+    labels = None
+    if "labels" in doc:
+        labels = _json_array(doc, "labels", scores.shape[:-1], np.int64)
+    return batch, labels
 
 
 def _config_dims(config: RoutingConfig) -> tuple[int, int]:
@@ -416,11 +439,22 @@ def _config_dims(config: RoutingConfig) -> tuple[int, int]:
     return n_in, n_out
 
 
+def _stored_config(mode: str, n_in, n_out, **knobs) -> RoutingConfig:
+    """Inverse of :func:`_config_dims`: the config a stored layer
+    describes, or DataFormatError if RoutingConfig rejects it."""
+    try:
+        return RoutingConfig(
+            n_out="variable" if mode == "variable_output" else n_out,
+            n_in=n_in if mode == "fixed" else None, **knobs)
+    except (ConfigError, TypeError) as e:
+        raise DataFormatError(f"invalid {mode} layer: {e}") from None
+
+
 def _stored_arrays(params: RoutingParams,
                    config: RoutingConfig) -> dict[str, np.ndarray]:
     """The independent fields of ``params``, checked against the layout
     of ``config`` so that a written file reads back."""
-    arrays = {name: _arr(value) for name, value in params.items()}
+    arrays = {name: T.asarray(value) for name, value in params.items()}
     found = {name: a.shape for name, a in arrays.items()}
     expected = learned_shapes(config)
     if found != expected:
@@ -448,13 +482,10 @@ def _read_layer(r: _Reader, dtype: np.dtype) -> tuple[RoutingParams, RoutingConf
         r.unpack("<BB5I I dd")
     if mode_code not in _MODES_BACK:
         raise DataFormatError(f"unknown sharing mode {mode_code}")
-    mode = _MODES_BACK[mode_code]
-    config = RoutingConfig(
-        n_out="variable" if mode == "variable_output" else n_out,
-        n_in=n_in if mode == "fixed" else None,
-        d_cov=d_cov, d_in=d_in, d_out=d_out, n_iters=n_iters,
-        tie_betas=bool(tie), var_floor=var_floor, denom_eps=denom_eps,
-    )
+    config = _stored_config(
+        _MODES_BACK[mode_code], n_in, n_out, d_cov=d_cov, d_in=d_in,
+        d_out=d_out, n_iters=n_iters, tie_betas=bool(tie),
+        var_floor=var_floor, denom_eps=denom_eps)
     native = dtype.newbyteorder("=")
     # math.prod: header dims are untrusted and np.prod would overflow
     params = RoutingParams.from_items(
@@ -467,7 +498,7 @@ def write_params(path, params: RoutingParams, config: RoutingConfig) -> None:
     if str(path).endswith(".json"):
         _write_params_json(path, params, config)
         return
-    code = _dtype_code(_arr(params.weights))
+    code = _dtype_code(T.asarray(params.weights))
     buf = io.BytesIO()
     buf.write(_header(_KIND_PARAMS, code))
     _write_layer(buf, params, config, code)
@@ -508,49 +539,31 @@ def _write_params_json(path, params: RoutingParams,
 
 
 def _read_params_json(path) -> tuple[RoutingParams, RoutingConfig]:
-    with open(path) as f:
-        doc = json.load(f)
-    if doc.get("format") != "caps-json":
-        raise DataFormatError("not a caps-json document")
-    if doc.get("version") != FORMAT_VERSION:
-        raise FormatVersionError(f"unsupported version {doc.get('version')}")
-    if doc.get("kind") != "routing_params":
-        raise DataFormatError(
-            f"expected routing_params, found {doc.get('kind')}")
-    mode = doc["mode"]
-    if mode not in _MODES:
+    doc = _load_caps_json(path, "routing_params")
+    mode = doc.get("mode")
+    if not isinstance(mode, str) or mode not in _MODES:
         raise DataFormatError(f"unknown sharing mode {mode!r}")
-    dims = doc["dims"]
-    config = RoutingConfig(
-        n_out="variable" if mode == "variable_output" else dims["n_out"],
-        n_in=dims["n_in"] if mode == "fixed" else None,
-        d_cov=dims["d_cov"], d_in=dims["d_in"], d_out=dims["d_out"],
-        n_iters=doc["n_iters"], tie_betas=doc["tie_betas"],
-        var_floor=doc["var_floor"], denom_eps=doc["denom_eps"],
-    )
-    dt = T.get_default_dtype()
+    try:
+        dims = doc["dims"]
+        config = _stored_config(
+            mode, dims["n_in"], dims["n_out"], d_cov=dims["d_cov"],
+            d_in=dims["d_in"], d_out=dims["d_out"], n_iters=doc["n_iters"],
+            tie_betas=doc["tie_betas"], var_floor=doc["var_floor"],
+            denom_eps=doc["denom_eps"])
+    except KeyError as e:
+        raise DataFormatError(f"routing_params document has no {e}") from None
+    except TypeError:
+        raise DataFormatError("routing_params 'dims' must be an object") \
+            from None
     params = RoutingParams.from_items(
-        (name, _json_array(doc, name, shape, dt))
+        (name, _json_array(doc, name, shape))
         for name, shape in learned_shapes(config).items())
     return params, config
 
 
-def _json_array(doc: dict, name: str, shape: tuple, dtype) -> np.ndarray:
-    if name not in doc:
-        raise DataFormatError(f"routing_params document has no {name!r}")
-    try:
-        arr = np.array(doc[name], dtype=dtype)
-    except (TypeError, ValueError) as e:
-        raise DataFormatError(f"{name!r} is not a numeric array ({e})") from None
-    if arr.shape != shape:
-        raise DataFormatError(
-            f"{name!r} has shape {arr.shape}, expected {shape}")
-    return arr
-
-
 def write_model(path, layers, n_classes: int) -> None:
     """Write a stack of (params, config) routing layers as one model."""
-    code = _dtype_code(_arr(layers[0][0].weights))
+    code = _dtype_code(T.asarray(layers[0][0].weights))
     buf = io.BytesIO()
     buf.write(_header(_KIND_MODEL, code))
     buf.write(struct.pack("<II", len(layers), n_classes))

@@ -46,8 +46,7 @@ def layer_norm(x, gain, shift) -> Tensor:
     centered = T.sub(x, mean)
     var = T.reduce_mean(T.square(centered), axes=-1, keepdims=True)
     # 1/sqrt(v) as exp(-log(v)/2); v >= stabilizer keeps log in domain
-    inv_std = T.exp(T.mul(T.tensor(-0.5),
-                          T.log(T.add(var, T.tensor(_LN_STABILIZER)))))
+    inv_std = T.exp(T.mul(-0.5, T.log(T.add(var, _LN_STABILIZER))))
     return T.add(T.mul(gain, T.mul(centered, inv_std)), shift)
 
 
@@ -56,9 +55,10 @@ def mask_to_logits(mask: np.ndarray) -> np.ndarray:
 
     Fully present entries (1) map to +LOGIT_MAX, fully absent (0) to
     -LOGIT_MAX; fractional entries, e.g. produced by mixing two masks,
-    map to their exact log-odds.
+    map to their exact log-odds. A float32 mask gives float32 logits,
+    anything else float64.
     """
-    x = np.asarray(mask, dtype=np.float64)
+    x = T.float_array(mask)
     if np.any(x < 0) or np.any(x > 1) or not np.all(np.isfinite(x)):
         raise DomainError("mask values must lie in [0, 1]")
     with np.errstate(divide="ignore"):
@@ -73,7 +73,7 @@ def cross_entropy(scores, target) -> Tensor:
     fine. Computed in log space via logsumexp subtraction.
     """
     scores = T.as_tensor(scores)
-    tgt = np.asarray(target.data if isinstance(target, Tensor) else target)
+    tgt = T.asarray(target)
     if tgt.shape != scores.shape or scores.ndim != 2:
         raise ShapeError(
             f"scores {scores.shape} and target {tgt.shape} must match as (batch, k)"
@@ -83,7 +83,7 @@ def cross_entropy(scores, target) -> Tensor:
     if not np.allclose(tgt.sum(axis=1), 1.0, atol=1e-6):
         raise ValueError("target rows must sum to 1")
     log_probs = T.sub(scores, T.logsumexp(scores, axes=1, keepdims=True))
-    per_sample = T.neg(T.reduce_sum(T.mul(T.tensor(tgt), log_probs), axes=1))
+    per_sample = T.neg(T.reduce_sum(T.mul(tgt, log_probs), axes=1))
     return T.reduce_mean(per_sample)
 
 
@@ -135,11 +135,11 @@ def channel_embedding(table, channels) -> Tensor:
     if np.any(ids < 0) or np.any(ids >= n_tags):
         raise ShapeError(f"channel ids must lie in [0, {n_tags})")
     flat = ids.reshape(-1)
-    onehot = np.zeros((flat.size, n_tags), dtype=table.dtype)
+    onehot = np.zeros((flat.size, n_tags))
     onehot[np.arange(flat.size), flat] = 1.0
-    rows = T.contract(T.tensor(onehot), table, "pt,tm->pm")
+    rows = T.contract(onehot, table, "pt,tm->pm")
     return T.reshape(rows, ids.shape + (table.shape[1],))
 
 
-def init_channel_table(n_tags: int, width: int, dtype=None) -> np.ndarray:
-    return np.zeros((n_tags, width), dtype=dtype or T.get_default_dtype())
+def init_channel_table(n_tags: int, width: int) -> np.ndarray:
+    return np.zeros((n_tags, width))

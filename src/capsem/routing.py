@@ -157,8 +157,7 @@ class CapsuleBatch:
     """
 
     def __init__(self, scores, poses):
-        sdata = scores.data if isinstance(scores, Tensor) else np.asarray(scores)
-        pdata = poses.data if isinstance(poses, Tensor) else np.asarray(poses)
+        sdata, pdata = T.asarray(scores), T.asarray(poses)
         if pdata.ndim not in (3, 4) or sdata.ndim != pdata.ndim - 2:
             raise ShapeError(
                 f"expected scores (batch, n) with poses (batch, n, d_cov, d_in) "
@@ -175,13 +174,11 @@ class CapsuleBatch:
 
     @property
     def is_batched(self) -> bool:
-        data = self.poses.data if isinstance(self.poses, Tensor) else self.poses
-        return data.ndim == 4
+        return T.asarray(self.poses).ndim == 4
 
     @property
     def n(self) -> int:
-        data = self.poses.data if isinstance(self.poses, Tensor) else self.poses
-        return data.shape[-3]
+        return T.asarray(self.poses).shape[-3]
 
     def batched(self) -> "CapsuleBatch":
         if self.is_batched:
@@ -260,13 +257,13 @@ def learned_shapes(config: RoutingConfig) -> dict[str, tuple[int, ...]]:
 
 
 def init_params(config: RoutingConfig, seed: int) -> RoutingParams:
-    """Fresh parameters: weights ~ Normal(0, (1/d_in)^2), all else zero."""
+    """Fresh float64 parameters: weights ~ Normal(0, (1/d_in)^2), all
+    else zero."""
     rng = np.random.default_rng(seed)
     std = 1.0 / config.d_in
-    dt = T.get_default_dtype()
     return RoutingParams.from_items(
-        (name, rng.normal(0.0, std, size=shape).astype(dt)
-         if name == "weights" else np.zeros(shape, dtype=dt))
+        (name, rng.normal(0.0, std, size=shape) if name == "weights"
+         else np.zeros(shape))
         for name, shape in learned_shapes(config).items())
 
 
@@ -282,10 +279,6 @@ def param_count(config: RoutingConfig) -> ParamCount:
 # the four phases
 
 
-def _as_t(x) -> Tensor:
-    return x if isinstance(x, Tensor) else T.tensor(np.asarray(x))
-
-
 def compute_votes(params: RoutingParams, caps: CapsuleBatch,
                   config: RoutingConfig, out_bias=None) -> Tensor:
     """Per-pair predictions V of shape (batch, n_in, n_out, d_cov, d_out).
@@ -296,33 +289,34 @@ def compute_votes(params: RoutingParams, caps: CapsuleBatch,
     requires ``out_bias`` of shape (n_out, d_cov, d_out) to break symmetry.
     """
     caps = caps.batched()
-    poses = _as_t(caps.poses)
+    poses = T.as_tensor(caps.poses)
     b, n, c, d = poses.shape
     if c != config.d_cov or d != config.d_in:
         raise ShapeError(
             f"poses have d_cov={c}, d_in={d}; config expects "
             f"d_cov={config.d_cov}, d_in={config.d_in}"
         )
+    weights = T.as_tensor(params.weights)
     mode = config.mode
     if mode == "fixed":
         if n != config.n_in:
             raise ShapeError(f"expected n_in={config.n_in} capsules, found {n}")
-        votes = T.contract(poses, _as_t(params.weights), "bicd,ijdh->bijch")
-        return T.add(votes, _as_t(params.biases))
+        votes = T.contract(poses, weights, "bicd,ijdh->bijch")
+        return T.add(votes, T.as_tensor(params.biases))
     if mode == "variable_input":
-        votes = T.contract(poses, _as_t(params.weights), "bicd,jdh->bijch")
-        return T.add(votes, _as_t(params.biases))
+        votes = T.contract(poses, weights, "bicd,jdh->bijch")
+        return T.add(votes, T.as_tensor(params.biases))
     if out_bias is None:
         raise ConfigError(
             "variable-output mode needs a per-output symmetry-breaking bias"
         )
-    bias = _as_t(out_bias)
+    bias = T.as_tensor(out_bias)
     if bias.ndim != 3 or bias.shape[1:] != (config.d_cov, config.d_out):
         raise ShapeError(
             f"out_bias must have shape (n_out, {config.d_cov}, {config.d_out}),"
             f" got {bias.shape}"
         )
-    base = T.contract(poses, _as_t(params.weights), "bicd,dh->bich")
+    base = T.contract(poses, weights, "bicd,dh->bich")
     base = T.reshape(base, (b, n, 1, config.d_cov, config.d_out))
     return T.add(base, bias)
 
@@ -335,8 +329,8 @@ def _log_densities(votes: Tensor, state: RoutingOutput) -> Tensor:
     var = T.reshape(state.variances, (b, 1, j, c, h))
     diff = T.sub(votes, mu)
     per_component = T.sub(
-        T.mul(T.tensor(-0.5), T.log(T.mul(T.tensor(_TWO_PI), var))),
-        T.div(T.square(diff), T.mul(T.tensor(2.0), var)),
+        T.mul(-0.5, T.log(T.mul(_TWO_PI, var))),
+        T.div(T.square(diff), T.mul(2.0, var)),
     )
     return T.reduce_sum(per_component, axes=(3, 4))
 
@@ -372,7 +366,7 @@ def d_step(in_scores, probs: Tensor) -> tuple[Tensor, Tensor]:
     """Split each input's activated mass: used = logistic(score) * probs,
     ignored = logistic(score) - used. Together with the gated-off remainder
     1 - logistic(score) the three parts account for the whole capsule."""
-    scores = _as_t(in_scores)
+    scores = T.as_tensor(in_scores)
     b, i = scores.shape
     gate = T.reshape(T.logistic(scores), (b, i, 1))
     used = T.mul(gate, probs)
@@ -389,18 +383,18 @@ def m_step(votes: Tensor, used: Tensor, ignored: Tensor,
     are the used-share-weighted moments of the votes.
     """
     b, i, j, c, h = votes.shape
-    beta_use = _as_t(params.beta_use)
-    beta_ign = _as_t(params.beta_ign)
+    beta_use = T.as_tensor(params.beta_use)
+    beta_ign = T.as_tensor(params.beta_ign)
     contrib = T.sub(T.mul(used, beta_use), T.mul(ignored, beta_ign))
     scores = T.reduce_sum(contrib, axes=1)
 
-    denom = T.add(T.reduce_sum(used, axes=1), T.tensor(config.denom_eps))
+    denom = T.add(T.reduce_sum(used, axes=1), config.denom_eps)
     denom4 = T.reshape(denom, (b, j, 1, 1))
     poses = T.div(T.contract(used, votes, "bij,bijch->bjch"), denom4)
     diff = T.sub(votes, T.reshape(poses, (b, 1, j, c, h)))
     variances = T.add(
         T.div(T.contract(used, T.square(diff), "bij,bijch->bjch"), denom4),
-        T.tensor(config.var_floor),
+        config.var_floor,
     )
     return RoutingOutput(scores, poses, variances)
 
@@ -415,7 +409,7 @@ def route(params: RoutingParams, caps: CapsuleBatch, config: RoutingConfig,
     """
     caps = caps.batched()
     votes = compute_votes(params, caps, config, out_bias=out_bias)
-    in_scores = _as_t(caps.scores)
+    in_scores = T.as_tensor(caps.scores)
     state: RoutingOutput | None = None
     steps: list[IterationTrace] = []
     for it in range(config.n_iters):
@@ -462,18 +456,18 @@ def route_reference(params: RoutingParams, caps: CapsuleBatch,
     loops and the direct (non-log-space) density formula. Small instances
     only: n_in <= 8, n_out <= 4, all dims <= 4.
     """
+    def arr(x):
+        return np.asarray(T.asarray(x), dtype=np.float64)
+
     caps = caps.batched()
-    scores_in = np.asarray(caps.scores.data if isinstance(caps.scores, Tensor)
-                           else caps.scores, dtype=np.float64)
-    poses_in = np.asarray(caps.poses.data if isinstance(caps.poses, Tensor)
-                          else caps.poses, dtype=np.float64)
+    scores_in = arr(caps.scores)
+    poses_in = arr(caps.poses)
     batch, n_in, d_cov, d_in = poses_in.shape
     mode = config.mode
     if mode == "variable_output":
         if out_bias is None:
             raise ConfigError("variable-output mode needs out_bias")
-        bias = np.asarray(out_bias.data if isinstance(out_bias, Tensor)
-                          else out_bias, dtype=np.float64)
+        bias = arr(out_bias)
         n_out = bias.shape[0]
     else:
         n_out = config.n_out
@@ -483,10 +477,6 @@ def route_reference(params: RoutingParams, caps: CapsuleBatch,
         raise ValueError(
             f"instance exceeds the reference ceiling {_REFERENCE_CEILING}"
         )
-
-    def arr(x):
-        return np.asarray(x.data if isinstance(x, Tensor) else x,
-                          dtype=np.float64)
 
     w = arr(params.weights)
     beta_use = arr(params.beta_use)

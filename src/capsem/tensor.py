@@ -9,6 +9,18 @@ Everything differentiable in this package is built from these.
 Values are immutable once wrapped in a :class:`Tensor`; a :class:`Tape` is
 single-threaded and append-only, so replaying the same graph on the same
 inputs is bit-identical.
+
+Dtypes follow one rule, decided here and nowhere else:
+
+* wrapping a value (:func:`tensor`, :func:`as_tensor`, :meth:`Tape.leaf`,
+  :func:`float_array`) keeps a float32 array float32 and makes anything
+  else float64;
+* a Python scalar or plain array combined with a Tensor takes that
+  Tensor's dtype, so constants never widen a float32 computation;
+* two Tensors combine by numpy promotion: float32 with float64 gives
+  float64.
+
+Float32 runs therefore need nothing but float32 parameters and inputs.
 """
 
 from __future__ import annotations
@@ -21,20 +33,11 @@ from scipy.special import logsumexp as _stable_logsumexp
 
 from .errors import DomainError, ShapeError
 
-_DEFAULT_DTYPE = np.float64
 
-
-def set_default_dtype(dtype) -> None:
-    """Select the dtype used for newly created tensors (float64 or float32)."""
-    global _DEFAULT_DTYPE
-    dt = np.dtype(dtype)
-    if dt not in (np.dtype(np.float64), np.dtype(np.float32)):
-        raise ValueError(f"unsupported dtype {dt}; use float64 or float32")
-    _DEFAULT_DTYPE = dt.type
-
-
-def get_default_dtype():
-    return _DEFAULT_DTYPE
+def float_array(data) -> np.ndarray:
+    """``data`` as float32 if it already is, else as float64."""
+    arr = np.asarray(data)
+    return arr if arr.dtype == np.float32 else arr.astype(np.float64, copy=False)
 
 
 class Tape:
@@ -57,10 +60,9 @@ class Tape:
         self._nodes.append((inputs, vjp))
         return len(self._nodes) - 1
 
-    def leaf(self, data, dtype=None) -> "Tensor":
+    def leaf(self, data) -> "Tensor":
         """Wrap ``data`` as a tracked leaf (a gradient target)."""
-        arr = np.asarray(data, dtype=dtype or _DEFAULT_DTYPE)
-        return Tensor(arr, self, self._push((), None))
+        return Tensor(float_array(data), self, self._push((), None))
 
 
 class Tensor:
@@ -132,16 +134,19 @@ class Tensor:
         return neg(self)
 
 
-def tensor(data, dtype=None) -> Tensor:
+def tensor(data) -> Tensor:
     """Wrap ``data`` as an untracked constant."""
-    return Tensor(np.asarray(data, dtype=dtype or _DEFAULT_DTYPE))
+    return Tensor(float_array(data))
 
 
 def as_tensor(x, like: Tensor | None = None) -> Tensor:
+    """``x`` itself if it is a Tensor, else an untracked constant, in
+    ``like``'s dtype when given."""
     if isinstance(x, Tensor):
         return x
-    dtype = like.data.dtype if like is not None else _DEFAULT_DTYPE
-    return Tensor(np.asarray(x, dtype=dtype))
+    if like is None:
+        return tensor(x)
+    return Tensor(np.asarray(x, dtype=like.data.dtype))
 
 
 def asarray(x) -> np.ndarray:
@@ -516,8 +521,8 @@ def grad_check(f: Callable[[Tensor], Tensor], x, step: float = 1e-5) -> float:
     """Max relative error of reverse-mode gradients of scalar ``f`` at ``x``.
 
     Central differences with the given step, compared per coordinate as
-    |analytic - numeric| / max(1, |analytic|). Runs in 64-bit regardless of
-    the default dtype.
+    |analytic - numeric| / max(1, |analytic|). Runs in float64 whatever
+    the dtype of ``x``.
     """
     if step <= 0:
         raise ValueError("step must be positive")

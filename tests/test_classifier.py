@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from capsem.classifier import (TrainRegime, _mix_batch,
+from capsem.classifier import (TrainRegime, _batch_gradients, _mix_batch,
                                build_constellation_classifier, evaluate,
                                train_classifier)
 from capsem.data import ConstellationSpec, make_dataset, to_one_hot
-from capsem.routing import CapsuleBatch
+from capsem.routing import CapsuleBatch, RoutingParams
 
 
 @pytest.fixture(scope="module")
@@ -71,6 +71,15 @@ def test_mix_batch_probability_space():
     np.testing.assert_array_equal(mixed_targets, targets)
 
 
+def test_mix_batch_keeps_float32():
+    scores = np.array([[4.0, 0.0, -4.0], [1.0, 2.0, 3.0]], dtype=np.float32)
+    poses = np.ones((2, 3, 2, 2), dtype=np.float32)
+    targets = np.eye(2, dtype=np.float32)
+    mixed = _mix_batch(scores, poses, targets, lam=0.3,
+                       rng=np.random.default_rng(1))
+    assert [a.dtype for a in mixed] == [np.float32] * 3
+
+
 def test_training_improves_and_is_deterministic(small_data):
     spec, (tc, tl), (vc, vl) = small_data
 
@@ -105,6 +114,25 @@ def test_threaded_gradients_match_serial(small_data):
     assert loss1 == pytest.approx(loss3, abs=1e-12)
     for k in g1:
         np.testing.assert_allclose(g1[k], g3[k], atol=1e-12)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_float32_model_gets_float32_gradients(small_data, threads):
+    spec, (tc, tl), _ = small_data
+    model = build_constellation_classifier(spec.d_cov, spec.d_in,
+                                           spec.n_classes, n_mid=8, seed=1)
+    model.layers = [(RoutingParams.from_items(
+        (name, value.astype(np.float32)) for name, value in params.items()),
+        cfg) for params, cfg in model.layers]
+    scores = np.asarray(tc.scores, dtype=np.float32)[:12]
+    poses = np.asarray(tc.poses, dtype=np.float32)[:12]
+    targets = to_one_hot(np.asarray(tl)[:12], spec.n_classes)
+    loss, grads = _batch_gradients(model, scores, poses, targets,
+                                   threads=threads)
+    assert np.isfinite(loss)
+    assert list(grads) == list(model.param_dict())
+    for name, g in grads.items():
+        assert g.dtype == np.float32, name
 
 
 def test_evaluate_on_empty_set(small_data):

@@ -225,6 +225,27 @@ def test_route_dim_mismatch_exits_2(toy_files, tmp_path, capsys):
     assert "(2, 2)" in err and "(4, 4)" in err  # found vs expected dims
 
 
+@pytest.mark.parametrize("text", [
+    '{"format": "caps-json", "version": 1, "kind": "capsule_batch", "sco',
+    '[1, 2]',
+    '{"format": "caps-json", "version": 1, "kind": "capsule_batch", '
+    '"scores": [[0.5]]}',
+    '{"format": "caps-json", "version": 1, "kind": "capsule_batch", '
+    '"scores": "x", "poses": [[[[1.0, 2.0]]]]}',
+    '[' * 100_000 + ']' * 100_000,
+], ids=["truncated", "top_level_list", "no_poses", "string_scores",
+        "deeply_nested"])
+def test_route_rejects_malformed_caps_json(tmp_path, capsys, text):
+    from capsem.classifier import build_constellation_classifier
+    from capsem.data import write_model
+    model = tmp_path / "m.caps"
+    write_model(model, build_constellation_classifier(4, 4, 3).layers, 3)
+    bad = tmp_path / "x.json"
+    bad.write_text(text)
+    assert main(["route", "--model", str(model), "--input", str(bad)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 # ---------------------------------------------------------------------------
 # gradcheck / bench / inspect
 

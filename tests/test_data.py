@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -226,6 +227,11 @@ def test_params_json_round_trip(tmp_path):
 @pytest.mark.parametrize("corrupt, message", [
     (lambda doc: doc.update(weights=doc["weights"][:-1]), "shape"),
     (lambda doc: doc.pop("biases"), "biases"),
+    (lambda doc: doc.pop("dims"), "no 'dims'"),
+    (lambda doc: doc.pop("n_iters"), "n_iters"),
+    (lambda doc: doc.update(dims=[4, 3]), "object"),
+    (lambda doc: doc["dims"].update(d_cov=0), "d_cov"),
+    (lambda doc: doc.update(mode=["fixed"]), "sharing mode"),
 ])
 def test_params_json_rejects_malformed_arrays(tmp_path, corrupt, message):
     cfg = _LAYOUTS[0]
@@ -236,6 +242,25 @@ def test_params_json_rejects_malformed_arrays(tmp_path, corrupt, message):
     path.write_text(json.dumps(doc))
     with pytest.raises(DataFormatError, match=message):
         D.read_params(path)
+
+
+@pytest.mark.parametrize("reader", ["params", "model"])
+def test_layer_record_with_rejected_dims_is_a_format_error(tmp_path, reader):
+    cfg = _LAYOUTS[0]
+    path = tmp_path / "layer.caps"
+    if reader == "params":
+        D.write_params(path, init_params(cfg, seed=0), cfg)
+    else:
+        D.write_model(path, [(init_params(cfg, seed=0), cfg)], n_classes=3)
+    blob = bytearray(path.read_bytes())
+    # the layer record follows the 8-byte header (and a model's 8-byte
+    # layer count and class count); d_cov is its third u32 after 2 bytes
+    start = 8 + (8 if reader == "model" else 0) + 2 + 2 * 4
+    blob[start:start + 4] = struct.pack("<I", 0)
+    path.write_bytes(bytes(blob))
+    read = D.read_params if reader == "params" else D.read_model
+    with pytest.raises(DataFormatError, match="d_cov"):
+        read(path)
 
 
 def test_params_writer_rejects_params_of_another_layout(tmp_path):

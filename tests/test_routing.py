@@ -630,29 +630,53 @@ def test_route_with_all_inputs_gated_off_stays_finite():
 
 
 def test_route_in_float32_mode():
-    # 32-bit is an opt-in performance mode; the loop stays finite and
-    # close to the 64-bit result
+    # 32-bit runs by passing float32 params and capsules; the loop stays
+    # finite and close to the 64-bit result
     rng = np.random.default_rng(100)
     cfg = small_fixed_config()
     p64 = random_params(rng, cfg)
     caps64 = random_caps(rng, cfg)
     out64 = route(p64, caps64, cfg)
 
-    T.set_default_dtype(np.float32)
-    try:
-        p32 = RoutingParams(
-            np.asarray(p64.weights, dtype=np.float32),
-            np.asarray(p64.biases, dtype=np.float32),
-            np.asarray(p64.beta_use, dtype=np.float32),
-            np.asarray(p64.beta_ign, dtype=np.float32))
-        caps32 = CapsuleBatch(
-            np.asarray(caps64.scores, dtype=np.float32),
-            np.asarray(caps64.poses, dtype=np.float32))
-        out32 = route(p32, caps32, cfg)
-    finally:
-        T.set_default_dtype(np.float64)
+    p32 = _as_float32(p64)
+    caps32 = CapsuleBatch(np.asarray(caps64.scores, dtype=np.float32),
+                          np.asarray(caps64.poses, dtype=np.float32))
+    out32 = route(p32, caps32, cfg)
     assert out32.scores.dtype == np.float32
     assert np.all(np.isfinite(out32.scores.data))
     np.testing.assert_allclose(out32.scores.data, out64.scores.data,
                                atol=1e-3)
     np.testing.assert_allclose(out32.poses.data, out64.poses.data, atol=1e-3)
+    # float32 capsules with float64 params promote to float64
+    mixed = route(p64, caps32, cfg)
+    for value in (mixed.scores, mixed.poses, mixed.variances):
+        assert value.dtype == np.float64
+
+
+def _as_float32(params):
+    return RoutingParams.from_items(
+        (name, np.asarray(value, dtype=np.float32))
+        for name, value in params.items())
+
+
+@pytest.mark.parametrize("mode", ["fixed", "variable_input",
+                                  "variable_output"])
+def test_float32_stays_float32_through_backward(mode):
+    rng = np.random.default_rng(102)
+    cfg, p64, caps, out_bias = random_instance(rng, mode=mode)
+    tape = T.Tape()
+    params = _as_float32(p64).tracked(tape)
+    caps = CapsuleBatch(np.asarray(caps.scores, dtype=np.float32),
+                        np.asarray(caps.poses, dtype=np.float32)).tracked(tape)
+    if out_bias is not None:
+        out_bias = tape.leaf(out_bias.astype(np.float32))
+    out = route(params, caps, cfg, out_bias=out_bias)
+    for value in (out.scores, out.poses, out.variances):
+        assert value.dtype == np.float32
+    loss = T.add(T.add(T.reduce_sum(T.square(out.scores)),
+                       T.reduce_sum(T.square(out.poses))),
+                 T.reduce_sum(out.variances))
+    grads = T.backward(tape, loss)
+    leaves = dict(params.items(), scores=caps.scores, poses=caps.poses)
+    for name, leaf in leaves.items():
+        assert grads[leaf.node].dtype == np.float32, name

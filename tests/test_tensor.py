@@ -295,15 +295,30 @@ def test_tape_replay_is_bit_identical():
 
 
 def test_float32_mode_is_opt_in():
-    T.set_default_dtype(np.float32)
-    try:
-        x = T.tensor([1.0, 2.0])
-        assert x.dtype == np.float32
-        y = T.add(x, 1.0)
-        assert y.dtype == np.float32
-    finally:
-        T.set_default_dtype(np.float64)
+    # float32 comes only from float32 data; constants take the dtype of
+    # the tensor they meet, and everything else is float64
+    x = T.tensor(np.array([1.0, 2.0], dtype=np.float32))
+    assert x.dtype == np.float32
+    assert T.Tape().leaf(x.data).dtype == np.float32
+    assert T.add(x, 1.0).dtype == np.float32
+    assert T.mul(np.array([2.0, 3.0]), x).dtype == np.float32
     assert T.tensor([1.0]).dtype == np.float64
+    assert T.tensor(np.array([1, 2])).dtype == np.float64
+    assert T.Tape().leaf(np.float16(1.0)).dtype == np.float64
+    # two tensors promote: float32 with float64 gives float64
+    assert T.add(x, T.tensor([1.0, 1.0])).dtype == np.float64
+
+
+def test_float32_gradients_stay_float32():
+    tape = T.Tape()
+    x = tape.leaf(np.array([[0.5, -1.0], [2.0, 0.25]], dtype=np.float32))
+    w = tape.leaf(np.array([1.5, -0.5], dtype=np.float32))
+    h = T.contract(x, w, "ij,j->i")
+    loss = T.reduce_mean(T.square(T.softplus(T.add(T.mul(0.5, h), 1.0))))
+    grads = T.backward(tape, loss)
+    assert loss.dtype == np.float32
+    assert grads[x.node].dtype == np.float32
+    assert grads[w.node].dtype == np.float32
 
 
 def test_mixing_tapes_is_an_error():
