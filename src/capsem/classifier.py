@@ -15,7 +15,7 @@ share one Beta-distributed weight per batch).
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit
@@ -23,10 +23,12 @@ from scipy.special import expit
 from . import tensor as T
 from .data import to_one_hot
 from .errors import DomainError, ShapeError
-from .nn import cross_entropy, mask_to_logits, mixup
+from .nn import cross_entropy, draw_mix_weight, mask_to_logits, mixup
 from .optim import OneCycleSchedule, RAdam, schedule_at
 from .routing import (CapsuleBatch, RoutingConfig, RoutingParams, init_params,
                       route)
+
+_EVAL_BATCH = 100
 
 
 @dataclass
@@ -34,32 +36,20 @@ class CapsuleClassifier:
     layers: list[tuple[RoutingParams, RoutingConfig]]
     n_classes: int
 
-    def forward(self, caps: CapsuleBatch, n_iters: int | None = None,
-                tracked_layers=None):
+    def forward(self, caps: CapsuleBatch):
         """Route through every layer; returns the per-layer outputs."""
-        layers = tracked_layers if tracked_layers is not None else self.layers
         outs = []
         current = caps
-        for params, config in layers:
-            if n_iters is not None:
-                config = replace(config, n_iters=n_iters)
+        for params, config in self.layers:
             out = route(params, current, config)
             outs.append(out)
             current = CapsuleBatch(out.scores, out.poses)
         return outs
 
-    def class_scores(self, caps: CapsuleBatch,
-                     n_iters: int | None = None) -> np.ndarray:
-        return self.forward(caps, n_iters=n_iters)[-1].scores.data
-
-    def predict_proba(self, caps: CapsuleBatch,
-                      n_iters: int | None = None) -> np.ndarray:
-        scores = self.class_scores(caps, n_iters=n_iters)
+    def predict_proba(self, caps: CapsuleBatch) -> np.ndarray:
+        """Softmax of the class capsules' scores, one row per sample."""
+        scores = self.forward(caps)[-1].scores.data
         return T.softmax(T.tensor(scores), axis=1).data
-
-    def predict(self, caps: CapsuleBatch,
-                n_iters: int | None = None) -> np.ndarray:
-        return self.class_scores(caps, n_iters=n_iters).argmax(axis=1)
 
     def param_dict(self) -> dict[str, np.ndarray]:
         """Flat name -> array view of every learnable parameter."""
@@ -123,8 +113,6 @@ class TrainRegime:
     beta1_start: float = 0.999
     beta1_peak: float = 0.9 * 0.999
     warm_frac: float = 0.10
-    beta2: float = 0.999
-    eps: float = 1e-8
     mixup: bool = True
     mixup_alpha: tuple[float, float] = (0.2, 0.2)
     seed: int = 0
@@ -168,7 +156,7 @@ def _batch_gradients(model: CapsuleClassifier, scores, poses, targets,
         tape = T.Tape()
         tracked = [(params.tracked(tape), cfg) for params, cfg in model.layers]
         caps = CapsuleBatch(scores[lo:hi], poses[lo:hi])
-        outs = model.forward(caps, tracked_layers=tracked)
+        outs = CapsuleClassifier(tracked, model.n_classes).forward(caps)
         loss = cross_entropy(outs[-1].scores, targets[lo:hi])
         grads = T.backward(tape, loss)
         named = {f"layer{k}.{name}": grads.get(value.node)
@@ -195,8 +183,8 @@ def _batch_gradients(model: CapsuleClassifier, scores, poses, targets,
     return loss_acc, total
 
 
-def evaluate(model: CapsuleClassifier, caps: CapsuleBatch, labels,
-             batch_size: int = 100) -> tuple[float, float]:
+def evaluate(model: CapsuleClassifier, caps: CapsuleBatch,
+             labels) -> tuple[float, float]:
     """Mean cross-entropy and accuracy over a labeled capsule batch."""
     scores = T.asarray(caps.scores)
     poses = T.asarray(caps.poses)
@@ -206,8 +194,8 @@ def evaluate(model: CapsuleClassifier, caps: CapsuleBatch, labels,
         return float("nan"), float("nan")
     targets = to_one_hot(labels, model.n_classes)
     total_loss, hits = 0.0, 0
-    for lo in range(0, n, batch_size):
-        hi = min(lo + batch_size, n)
+    for lo in range(0, n, _EVAL_BATCH):
+        hi = min(lo + _EVAL_BATCH, n)
         out = model.forward(CapsuleBatch(scores[lo:hi], poses[lo:hi]))[-1]
         loss = cross_entropy(out.scores, targets[lo:hi])
         total_loss += loss.item() * (hi - lo)
@@ -239,7 +227,7 @@ def train_classifier(model: CapsuleClassifier, train_caps: CapsuleBatch,
         beta1_start=regime.beta1_start, beta1_peak=regime.beta1_peak,
         warm_frac=regime.warm_frac,
     )
-    optimizer = RAdam(model.param_dict(), beta2=regime.beta2, eps=regime.eps)
+    optimizer = RAdam(model.param_dict())
     rng = np.random.default_rng([regime.seed, 0xED])
 
     logs = []
@@ -259,7 +247,7 @@ def train_classifier(model: CapsuleClassifier, train_caps: CapsuleBatch,
             idx = order[lo:lo + regime.batch_size]
             bs, bp, bt = scores[idx], poses[idx], targets[idx]
             if regime.mixup:
-                lam = float(rng.beta(*regime.mixup_alpha))
+                lam = draw_mix_weight(rng, regime.mixup_alpha)
                 bs, bp, bt = _mix_batch(bs, bp, bt, lam, rng)
             loss, grads = _batch_gradients(model, bs, bp, bt,
                                            threads=regime.threads)

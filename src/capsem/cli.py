@@ -20,8 +20,8 @@ import numpy as np
 from . import tensor as T
 from .classifier import (CapsuleClassifier, TrainRegime,
                          build_constellation_classifier, train_classifier)
-from .data import (ConstellationSpec, make_dataset, read_capsules, read_model,
-                   spec_from_dict, write_capsules, write_model)
+from .data import (ConstellationSpec, make_dataset, read_capsules, read_json,
+                   read_model, spec_from_dict, write_capsules, write_model)
 from .errors import (ConfigError, DataFormatError, DomainError, ShapeError)
 from .routing import (CapsuleBatch, RoutingConfig, RoutingParams, init_params,
                       param_count, route)
@@ -35,14 +35,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
-
-
-def _load_json(path) -> dict:
-    try:
-        with open(path) as f:
-            return json.load(f)
-    except json.JSONDecodeError as e:
-        raise DataFormatError(f"{path}: invalid JSON ({e})") from None
 
 
 def _take_section(config: dict, name: str, known: set[str]) -> dict:
@@ -62,7 +54,7 @@ def _take_section(config: dict, name: str, known: set[str]) -> dict:
 def cmd_gen_data(args) -> int:
     spec = ConstellationSpec()
     if args.spec:
-        spec = spec_from_dict(_load_json(args.spec))
+        spec = spec_from_dict(read_json(args.spec))
     if args.seed is not None:
         spec = replace(spec, seed=args.seed)
     batch, labels = make_dataset(spec, args.n)
@@ -87,7 +79,7 @@ _DATA_KEYS = {"train", "val"}
 
 
 def cmd_train(args) -> int:
-    config = _load_json(args.config) if args.config else {}
+    config = read_json(args.config) if args.config else {}
     if not isinstance(config, dict):
         raise ConfigError("config file must hold a JSON object")
     unknown = set(config) - {"task", "model", "train", "data"}
@@ -165,6 +157,9 @@ def cmd_train(args) -> int:
 
 def cmd_route(args) -> int:
     layers, n_classes = read_model(args.model)
+    if args.iters is not None:
+        layers = [(params, replace(config, n_iters=args.iters))
+                  for params, config in layers]
     model = CapsuleClassifier(layers, n_classes)
     caps, labels = read_capsules(args.input)
 
@@ -176,7 +171,7 @@ def cmd_route(args) -> int:
             f"expects ({cfg0.d_cov}, {cfg0.d_in})"
         )
 
-    probs = model.predict_proba(caps, n_iters=args.iters)
+    probs = model.predict_proba(caps)
     print("sample," + ",".join(f"p{k}" for k in range(n_classes)))
     for i, row in enumerate(probs):
         print(f"{i}," + ",".join(f"{p:.6f}" for p in row))
@@ -185,19 +180,20 @@ def cmd_route(args) -> int:
         print(f"accuracy,{acc:.4f}")
 
     if args.trace:
-        _dump_trace(model, caps, args.iters, args.trace)
+        _dump_trace(model, caps, args.trace)
         print(f"trace written to {args.trace}")
     return 0
 
 
-def _dump_trace(model, caps, n_iters, path, max_samples: int = 100):
-    scores = T.asarray(caps.batched().scores)[:max_samples]
-    poses = T.asarray(caps.batched().poses)[:max_samples]
-    current = CapsuleBatch(scores, poses)
+_TRACE_SAMPLES = 100
+
+
+def _dump_trace(model, caps, path):
+    caps = caps.batched()
+    current = CapsuleBatch(T.asarray(caps.scores)[:_TRACE_SAMPLES],
+                           T.asarray(caps.poses)[:_TRACE_SAMPLES])
     doc = {"layers": []}
     for params, config in model.layers:
-        if n_iters is not None:
-            config = replace(config, n_iters=n_iters)
         out, trace = route(params, current, config, want_trace=True)
         doc["layers"].append({
             "iterations": [
@@ -444,7 +440,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("route", help="run a model over a capsule file")
     p.add_argument("--model", required=True)
     p.add_argument("--input", required=True)
-    p.add_argument("--iters", type=int, default=None)
+    p.add_argument("--iters", type=int, default=None,
+                   help="override every layer's n_iters")
     p.add_argument("--trace", help="write per-iteration JSON trace here")
     p.set_defaults(func=cmd_route)
 
@@ -475,13 +472,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DataFormatError, ConfigError, ShapeError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except DomainError as e:
+    except (DataFormatError, ConfigError, ShapeError, DomainError,
+            FileNotFoundError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

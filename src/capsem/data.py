@@ -26,8 +26,8 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from . import tensor as T
-from .errors import (ConfigError, DataFormatError, FormatVersionError,
-                     ShapeError)
+from .errors import (ConfigError, DataFormatError, DomainError,
+                     FormatVersionError, ShapeError)
 from .nn import mask_to_logits
 from .routing import (LOGIT_MAX, CapsuleBatch, RoutingConfig, RoutingParams,
                       clamp_scores, learned_shapes)
@@ -369,8 +369,7 @@ def read_capsules(path) -> tuple[CapsuleBatch, np.ndarray | None]:
         labels = np.frombuffer(raw, dtype="<u4").astype(np.int64)
     r.done()
     native = scores.dtype.newbyteorder("=")
-    return (CapsuleBatch(scores.astype(native), poses.astype(native)),
-            labels)
+    return _stored_batch(scores.astype(native), poses.astype(native)), labels
 
 
 def _write_capsules_json(path, batch, labels) -> None:
@@ -388,14 +387,19 @@ def _write_capsules_json(path, batch, labels) -> None:
         json.dump(doc, f)
 
 
-def _load_caps_json(path, kind: str) -> dict:
-    """The caps-json document of ``kind`` stored at ``path``."""
-    with open(path) as f:
+def read_json(path):
+    """The JSON document at ``path``; DataFormatError if it does not decode."""
+    with open(path, encoding="utf-8") as f:
         try:
-            doc = json.load(f)
+            return json.load(f)
         except (ValueError, RecursionError) as e:
             # undecodable text, invalid JSON, or nesting too deep to decode
             raise DataFormatError(f"{path}: invalid JSON ({e})") from None
+
+
+def _load_caps_json(path, kind: str) -> dict:
+    """The caps-json document of ``kind`` stored at ``path``."""
+    doc = read_json(path)
     if not isinstance(doc, dict) or doc.get("format") != "caps-json":
         raise DataFormatError("not a caps-json document")
     if doc.get("version") != FORMAT_VERSION:
@@ -420,13 +424,18 @@ def _json_array(doc: dict, name: str, shape: tuple | None = None,
     return arr
 
 
+def _stored_batch(scores, poses) -> CapsuleBatch:
+    """The stored batch, or DataFormatError where CapsuleBatch rejects it."""
+    try:
+        return CapsuleBatch(scores, poses)
+    except (ShapeError, DomainError) as e:
+        raise DataFormatError(f"capsule_batch: {e}") from None
+
+
 def _read_capsules_json(path):
     doc = _load_caps_json(path, "capsule_batch")
     scores = _json_array(doc, "scores")
-    try:
-        batch = CapsuleBatch(scores, _json_array(doc, "poses"))
-    except ShapeError as e:
-        raise DataFormatError(f"capsule_batch: {e}") from None
+    batch = _stored_batch(scores, _json_array(doc, "poses"))
     labels = None
     if "labels" in doc:
         labels = _json_array(doc, "labels", scores.shape[:-1], np.int64)
@@ -446,7 +455,7 @@ def _stored_config(mode: str, n_in, n_out, **knobs) -> RoutingConfig:
         return RoutingConfig(
             n_out="variable" if mode == "variable_output" else n_out,
             n_in=n_in if mode == "fixed" else None, **knobs)
-    except (ConfigError, TypeError) as e:
+    except ConfigError as e:
         raise DataFormatError(f"invalid {mode} layer: {e}") from None
 
 
@@ -561,8 +570,28 @@ def _read_params_json(path) -> tuple[RoutingParams, RoutingConfig]:
     return params, config
 
 
+def _check_stack(layers, n_classes: int, error: type) -> None:
+    """Raise ``error`` unless the layers route into ``n_classes`` outputs:
+    one d_cov throughout, and each layer takes the previous one's outputs."""
+    configs = [config for _, config in layers]
+    if not configs:
+        raise error("a model needs at least one layer")
+    for k, (prev, cfg) in enumerate(zip(configs, configs[1:]), start=1):
+        if cfg.d_cov != prev.d_cov or cfg.d_in != prev.d_out \
+                or cfg.n_in not in (None, prev.n_out):
+            raise error(
+                f"layer {k} (d_cov={cfg.d_cov}, d_in={cfg.d_in}, n_in="
+                f"{cfg.n_in}) does not take the outputs of layer {k - 1} "
+                f"(d_cov={prev.d_cov}, d_out={prev.d_out}, n_out={prev.n_out})")
+    if configs[-1].n_out != n_classes:
+        raise error(f"last layer has n_out={configs[-1].n_out}, model has "
+                    f"{n_classes} classes")
+
+
 def write_model(path, layers, n_classes: int) -> None:
-    """Write a stack of (params, config) routing layers as one model."""
+    """Write a stack of (params, config) routing layers as one model;
+    ShapeError if they do not route into ``n_classes`` outputs."""
+    _check_stack(layers, n_classes, ShapeError)
     code = _dtype_code(T.asarray(layers[0][0].weights))
     buf = io.BytesIO()
     buf.write(_header(_KIND_MODEL, code))
@@ -580,4 +609,5 @@ def read_model(path) -> tuple[list[tuple[RoutingParams, RoutingConfig]], int]:
     n_layers, n_classes = r.unpack("<II")
     layers = [_read_layer(r, dtype) for _ in range(n_layers)]
     r.done()
+    _check_stack(layers, n_classes, DataFormatError)
     return layers, n_classes

@@ -92,19 +92,17 @@ def draw_mix_weight(seed=None, lambda_params=(0.2, 0.2)) -> float:
     return float(np.random.default_rng(seed).beta(*lambda_params))
 
 
-def mixup(first, second, lambda_params=(0.2, 0.2), seed=None, lam=None):
-    """Convex-mix two (inputs, target) samples with one shared weight.
+def mixup(first, second, lam: float):
+    """Convex-mix two (inputs, target) samples with one shared weight
+    ``lam``, e.g. one from :func:`draw_mix_weight`.
 
     ``inputs`` may be a single array or a tuple of arrays (all mixed with
     the same weight); targets are probability rows and stay on the simplex.
     For capsule pipelines, mix mask probabilities here and convert with
-    :func:`mask_to_logits` afterwards. Deterministic given ``seed``;
-    pass ``lam`` to force the weight.
+    :func:`mask_to_logits` afterwards.
     """
     inputs_a, target_a = first
     inputs_b, target_b = second
-    if lam is None:
-        lam = draw_mix_weight(seed, lambda_params)
 
     def mix(a, b):
         a, b = np.asarray(a), np.asarray(b)

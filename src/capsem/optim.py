@@ -10,7 +10,7 @@ including the bias corrections.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,55 +58,44 @@ def schedule_at(schedule: OneCycleSchedule, step: int) -> tuple[float, float]:
             leg(schedule.beta1_start, schedule.beta1_peak))
 
 
-@dataclass
 class RAdam:
     """Rectified Adam over a dict of named parameter arrays.
 
     Moments use the per-step beta1 handed to :meth:`step`; beta2 and eps
-    are fixed at construction. While the rectification term rho_t stays
-    at or below 4 (the first few steps at beta2 = 0.999) the update falls
-    back to bias-corrected momentum with no division by the second moment.
+    are the fixed constants of the training regime. While the
+    rectification term rho_t stays at or below 4 (the first few steps at
+    beta2 = 0.999) the update falls back to bias-corrected momentum with
+    no division by the second moment.
     """
 
-    params: dict[str, np.ndarray]
-    beta2: float = 0.999
-    eps: float = 1e-8
-    t: int = 0
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
+    beta2 = 0.999
+    eps = 1e-8
+    rho_inf = 2.0 / (1.0 - beta2) - 1.0
 
-    def __post_init__(self):
-        for name, p in self.params.items():
-            self.m[name] = np.zeros_like(p)
-            self.v[name] = np.zeros_like(p)
-        self.rho_inf = 2.0 / (1.0 - self.beta2) - 1.0
+    def __init__(self, params: dict[str, np.ndarray]):
+        self.params = params
+        self.t = 0
+        self.m = {name: np.zeros_like(p) for name, p in params.items()}
+        self.v = {name: np.zeros_like(p) for name, p in params.items()}
 
     def rho_t(self, t: int) -> float:
         b2t = self.beta2 ** t
         return self.rho_inf - 2.0 * t * b2t / (1.0 - b2t)
 
-    def step(self, grads: dict[str, np.ndarray], lr: float, beta1: float,
-             force_branch: str | None = None,
-             rectifier_override: float | None = None) -> None:
-        """One in-place update of every parameter from its gradient.
-
-        ``force_branch``/``rectifier_override`` exist for tests: forcing
-        the rectified branch with the rectifier pinned at 1 reduces the
-        rule to plain Adam.
-        """
+    def step(self, grads: dict[str, np.ndarray], lr: float,
+             beta1: float) -> None:
+        """One in-place update of every parameter from its gradient."""
         missing = set(self.params) - set(grads)
         if missing:
             raise ShapeError(f"missing gradients for {sorted(missing)}")
         self.t += 1
         t = self.t
         rho = self.rho_t(t)
-        rectified = rho > 4.0 if force_branch is None else \
-            force_branch == "rectified"
+        rectified = rho > 4.0
         if rectified:
             rect = math.sqrt(
                 ((rho - 4.0) * (rho - 2.0) * self.rho_inf)
-                / ((self.rho_inf - 4.0) * (self.rho_inf - 2.0) * rho)
-            ) if rectifier_override is None else rectifier_override
+                / ((self.rho_inf - 4.0) * (self.rho_inf - 2.0) * rho))
         bias1 = 1.0 - beta1 ** t
         bias2 = 1.0 - self.beta2 ** t
 

@@ -27,6 +27,7 @@ Three parameter-sharing modes exist:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Literal, Union
 
@@ -45,6 +46,17 @@ _TWO_PI = 2.0 * math.pi
 
 def clamp_scores(scores: np.ndarray) -> np.ndarray:
     return np.clip(scores, -LOGIT_MAX, LOGIT_MAX)
+
+
+def _is_count(value) -> bool:
+    """An int, not a bool, of at least 1."""
+    return type(value) is int and value >= 1
+
+
+def _is_finite(value) -> bool:
+    """An int or float, not a bool, in the finite float range."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) \
+        and abs(value) <= sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -69,22 +81,22 @@ class RoutingConfig:
     denom_eps: float = 1e-12
 
     def __post_init__(self):
-        for name in ("d_cov", "d_in", "d_out"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1")
-        if self.n_iters < 1:
-            raise ConfigError("n_iters must be >= 1")
+        for name in ("d_cov", "d_in", "d_out", "n_iters"):
+            if not _is_count(getattr(self, name)):
+                raise ConfigError(f"{name} must be an int >= 1")
         if self.n_out == "variable":
             if self.n_in is not None:
                 raise ConfigError("variable n_out requires variable n_in")
-        elif not isinstance(self.n_out, int) or self.n_out < 1:
+        elif not _is_count(self.n_out):
             raise ConfigError("n_out must be a positive int or 'variable'")
-        if self.n_in is not None and self.n_in < 1:
-            raise ConfigError("n_in must be positive when given")
-        if self.var_floor < 0:
-            raise ConfigError("var_floor must be >= 0")
-        if self.denom_eps <= 0:
-            raise ConfigError("denom_eps must be > 0")
+        if self.n_in is not None and not _is_count(self.n_in):
+            raise ConfigError("n_in must be a positive int when given")
+        if not isinstance(self.tie_betas, bool):
+            raise ConfigError("tie_betas must be a bool")
+        if not (_is_finite(self.var_floor) and self.var_floor >= 0):
+            raise ConfigError("var_floor must be a finite number >= 0")
+        if not (_is_finite(self.denom_eps) and self.denom_eps > 0):
+            raise ConfigError("denom_eps must be a finite number > 0")
 
     @property
     def mode(self) -> str:
@@ -207,17 +219,15 @@ class RoutingOutput:
 
 @dataclass
 class IterationTrace:
-    probs: np.ndarray                 # (batch, n_in, n_out), rows sum to 1
-    used: np.ndarray                  # share of each input used per output
-    ignored: np.ndarray               # share activated but not used
-    log_densities: np.ndarray | None  # None on the first iteration
-    scores: np.ndarray                # output scores after this M-step
+    probs: np.ndarray    # (batch, n_in, n_out), rows sum to 1
+    used: np.ndarray     # share of each input used per output
+    ignored: np.ndarray  # share activated but not used
+    scores: np.ndarray   # output scores after this M-step
 
 
 @dataclass
 class RoutingTrace:
     iterations: list[IterationTrace]
-    final: RoutingOutput
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +331,7 @@ def compute_votes(params: RoutingParams, caps: CapsuleBatch,
     return T.add(base, bias)
 
 
-def _log_densities(votes: Tensor, state: RoutingOutput) -> Tensor:
+def _log_density(votes: Tensor, state: RoutingOutput) -> Tensor:
     """Log of each output's Gaussian density at each input's votes,
     summed over the d_cov x d_out components: shape (batch, n_in, n_out)."""
     b, i, j, c, h = votes.shape
@@ -359,7 +369,7 @@ def e_step(votes: Tensor, state: RoutingOutput | None,
         raise ValueError("state is required after the first iteration")
     if np.any(state.variances.data <= 0):
         raise DomainError("output variances must be strictly positive")
-    return _assignment_probs(_log_densities(votes, state), state.scores)
+    return _assignment_probs(_log_density(votes, state), state.scores)
 
 
 def d_step(in_scores, probs: Tensor) -> tuple[Tensor, Tensor]:
@@ -414,9 +424,6 @@ def route(params: RoutingParams, caps: CapsuleBatch, config: RoutingConfig,
     steps: list[IterationTrace] = []
     for it in range(config.n_iters):
         probs = e_step(votes, state, first_iter=(it == 0))
-        log_dens = None
-        if want_trace and it > 0:
-            log_dens = _log_densities(votes, state).data
         used, ignored = d_step(in_scores, probs)
         state = m_step(votes, used, ignored, params, config)
         if want_trace:
@@ -424,16 +431,10 @@ def route(params: RoutingParams, caps: CapsuleBatch, config: RoutingConfig,
                 probs=np.array(probs.data, copy=True),
                 used=np.array(used.data, copy=True),
                 ignored=np.array(ignored.data, copy=True),
-                log_densities=log_dens,
                 scores=np.array(state.scores.data, copy=True),
             ))
     if want_trace:
-        final = RoutingOutput(
-            T.tensor(np.array(state.scores.data, copy=True)),
-            T.tensor(np.array(state.poses.data, copy=True)),
-            T.tensor(np.array(state.variances.data, copy=True)),
-        )
-        return state, RoutingTrace(steps, final)
+        return state, RoutingTrace(steps)
     return state
 
 

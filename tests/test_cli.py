@@ -3,6 +3,7 @@ import json
 import struct
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -103,6 +104,14 @@ def test_train_unknown_config_key_exits_2(tmp_path):
                  "--config", str(config)]) == 2
 
 
+def test_train_non_utf8_config_exits_2(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_bytes(b"\xff\xfe{}")
+    assert main(["train", "--config", str(config),
+                 "--out", str(tmp_path / "m.caps")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_train_writes_log_csv(tmp_path):
     config = tmp_path / "c.json"
     config.write_text(json.dumps(
@@ -188,9 +197,10 @@ def test_route_iters_flag_matches_library(toy_files, capsys):
     from capsem.classifier import CapsuleClassifier
     from capsem.data import read_model
     layers, n_classes = read_model(model)
-    lib = CapsuleClassifier(layers, n_classes)
+    lib = CapsuleClassifier([(params, replace(config, n_iters=1))
+                             for params, config in layers], n_classes)
     caps, _ = read_capsules(data)
-    expected = lib.predict_proba(caps, n_iters=1)
+    expected = lib.predict_proba(caps)
 
     capsys.readouterr()
     assert main(["route", "--model", str(model), "--input", str(data),
@@ -233,8 +243,10 @@ def test_route_dim_mismatch_exits_2(toy_files, tmp_path, capsys):
     '{"format": "caps-json", "version": 1, "kind": "capsule_batch", '
     '"scores": "x", "poses": [[[[1.0, 2.0]]]]}',
     '[' * 100_000 + ']' * 100_000,
+    '{"format": "caps-json", "version": 1, "kind": "capsule_batch", '
+    '"scores": [[NaN]], "poses": [[[[1.0]]]]}',
 ], ids=["truncated", "top_level_list", "no_poses", "string_scores",
-        "deeply_nested"])
+        "deeply_nested", "nan_score"])
 def test_route_rejects_malformed_caps_json(tmp_path, capsys, text):
     from capsem.classifier import build_constellation_classifier
     from capsem.data import write_model

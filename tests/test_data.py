@@ -163,6 +163,24 @@ def test_capsule_file_rejects_trailing_garbage(tmp_path):
         D.read_capsules(path)
 
 
+@pytest.mark.parametrize("suffix", [".caps", ".json"])
+def test_capsule_file_rejects_nonfinite_payload(tmp_path, suffix):
+    path = tmp_path / f"batch{suffix}"
+    D.write_capsules(path, CapsuleBatch(np.zeros((1, 2)),
+                                        np.zeros((1, 2, 3, 3))))
+    if suffix == ".json":
+        doc = json.loads(path.read_text())
+        doc["scores"][0][0] = float("nan")
+        path.write_text(json.dumps(doc))
+    else:
+        # the first score follows the 8-byte header and the 17-byte dims
+        blob = bytearray(path.read_bytes())
+        blob[25:33] = struct.pack("<d", float("nan"))
+        path.write_bytes(bytes(blob))
+    with pytest.raises(DataFormatError, match="finite"):
+        D.read_capsules(path)
+
+
 def test_capsule_file_payload_length_arithmetic(tmp_path):
     # header (batch=2, n=3, d_cov=4, d_in=4): 2*3 scores + 2*3*4*4 pose values
     batch = CapsuleBatch(np.zeros((2, 3)), np.zeros((2, 3, 4, 4)))
@@ -232,6 +250,10 @@ def test_params_json_round_trip(tmp_path):
     (lambda doc: doc.update(dims=[4, 3]), "object"),
     (lambda doc: doc["dims"].update(d_cov=0), "d_cov"),
     (lambda doc: doc.update(mode=["fixed"]), "sharing mode"),
+    (lambda doc: doc.update(n_iters=1.5), "n_iters must be an int"),
+    (lambda doc: doc.update(tie_betas="no"), "tie_betas"),
+    (lambda doc: doc.update(var_floor=float("nan")), "var_floor"),
+    (lambda doc: doc.update(denom_eps=float("inf")), "denom_eps"),
 ])
 def test_params_json_rejects_malformed_arrays(tmp_path, corrupt, message):
     cfg = _LAYOUTS[0]
@@ -252,15 +274,20 @@ def test_layer_record_with_rejected_dims_is_a_format_error(tmp_path, reader):
         D.write_params(path, init_params(cfg, seed=0), cfg)
     else:
         D.write_model(path, [(init_params(cfg, seed=0), cfg)], n_classes=3)
-    blob = bytearray(path.read_bytes())
+    written = path.read_bytes()
     # the layer record follows the 8-byte header (and a model's 8-byte
-    # layer count and class count); d_cov is its third u32 after 2 bytes
-    start = 8 + (8 if reader == "model" else 0) + 2 + 2 * 4
-    blob[start:start + 4] = struct.pack("<I", 0)
-    path.write_bytes(bytes(blob))
+    # layer count and class count); d_cov is its third u32 after 2 bytes,
+    # var_floor the f64 after its six u32
+    record = 8 + (8 if reader == "model" else 0)
     read = D.read_params if reader == "params" else D.read_model
-    with pytest.raises(DataFormatError, match="d_cov"):
-        read(path)
+    for offset, value, name in ((2 + 2 * 4, struct.pack("<I", 0), "d_cov"),
+                                (2 + 6 * 4, struct.pack("<d", np.nan),
+                                 "var_floor")):
+        blob = bytearray(written)
+        blob[record + offset:record + offset + len(value)] = value
+        path.write_bytes(bytes(blob))
+        with pytest.raises(DataFormatError, match=name):
+            read(path)
 
 
 def test_params_writer_rejects_params_of_another_layout(tmp_path):
@@ -282,6 +309,39 @@ def test_model_file_round_trip(tmp_path):
     for (p, c), (bp, bc) in zip(layers, back):
         assert c == bc
         np.testing.assert_array_equal(p.weights, bp.weights)
+
+
+_STACK_CFG1 = RoutingConfig(n_out=4, d_cov=2, d_in=2, d_out=3)
+
+
+@pytest.mark.parametrize("second, n_classes, message", [
+    (None, 5, "at least one layer"),
+    (RoutingConfig(n_out=5, n_in=4, d_cov=2, d_in=3, d_out=2), 7,
+     "7 classes"),
+    (RoutingConfig(n_out=5, n_in=4, d_cov=1, d_in=3, d_out=2), 5, "d_cov=1"),
+    (RoutingConfig(n_out=5, n_in=4, d_cov=2, d_in=2, d_out=2), 5, "d_in=2"),
+    (RoutingConfig(n_out=5, n_in=3, d_cov=2, d_in=3, d_out=2), 5, "n_in=3"),
+], ids=["no_layers", "extra_classes", "d_cov", "d_in", "n_in"])
+def test_model_file_must_describe_a_routable_stack(tmp_path, capsys, second,
+                                                   n_classes, message):
+    from capsem.cli import main
+    configs = [] if second is None else [_STACK_CFG1, second]
+    layers = [(init_params(cfg, k), cfg) for k, cfg in enumerate(configs)]
+    with pytest.raises(ShapeError, match=message):
+        D.write_model(tmp_path / "w.caps", layers, n_classes)
+    # assemble the file by hand: each layer record is a params file
+    # without its 8-byte header
+    records = b""
+    for params, cfg in layers:
+        D.write_params(tmp_path / "layer.caps", params, cfg)
+        records += (tmp_path / "layer.caps").read_bytes()[8:]
+    path = tmp_path / "m.caps"
+    path.write_bytes(b"CAPS" + struct.pack("<HBB", 1, 3, 1)
+                     + struct.pack("<II", len(layers), n_classes) + records)
+    with pytest.raises(DataFormatError, match=message):
+        D.read_model(path)
+    assert main(["inspect", "--model", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 # ---------------------------------------------------------------------------

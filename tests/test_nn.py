@@ -212,12 +212,10 @@ def test_mixup_weight_distribution_is_symmetric():
 
 
 def test_mixup_deterministic_given_seed():
-    a = (np.zeros(4), np.array([1.0, 0.0]))
-    b = (np.ones(4), np.array([0.0, 1.0]))
-    m1, t1 = nn.mixup(a, b, seed=123)
-    m2, t2 = nn.mixup(a, b, seed=123)
-    np.testing.assert_array_equal(m1, m2)
-    np.testing.assert_array_equal(t1, t2)
+    assert nn.draw_mix_weight(123) == nn.draw_mix_weight(123)
+    rng1, rng2 = np.random.default_rng(123), np.random.default_rng(123)
+    assert [nn.draw_mix_weight(rng1, (0.4, 0.4)) for _ in range(5)] == \
+        [nn.draw_mix_weight(rng2, (0.4, 0.4)) for _ in range(5)]
 
 
 def test_mixup_preserves_simplex():

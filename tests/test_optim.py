@@ -83,15 +83,18 @@ def test_early_steps_use_momentum_branch():
 
 def test_trajectory_matches_formula_transliteration():
     beta2, eps, lr, beta1 = 0.999, 1e-8, 1e-2, 0.9
-    p = {"w": np.array([0.5])}
-    opt = RAdam(p, beta2=beta2, eps=eps)
+    rng = np.random.default_rng(0)
+    g_seq = [rng.normal(size=3) for _ in range(50)]
+    p = {"w": np.full(3, 0.5)}
+    opt = RAdam(p)
 
-    # independent scalar transliteration of the published update rule
-    w = 0.5
-    m = v = 0.0
+    # independent transliteration of the published update rule; the
+    # momentum branch runs for t <= 4, the rectified one after
+    w = np.full(3, 0.5)
+    m = np.zeros(3)
+    v = np.zeros(3)
     rho_inf = 2.0 / (1.0 - beta2) - 1.0
-    for t in range(1, 51):
-        g = 1.0
+    for t, g in enumerate(g_seq, start=1):
         m = beta1 * m + (1 - beta1) * g
         v = beta2 * v + (1 - beta2) * g * g
         m_hat = m / (1 - beta1 ** t)
@@ -99,37 +102,14 @@ def test_trajectory_matches_formula_transliteration():
         if rho > 4:
             rect = math.sqrt(((rho - 4) * (rho - 2) * rho_inf)
                              / ((rho_inf - 4) * (rho_inf - 2) * rho))
-            v_hat = math.sqrt(v / (1 - beta2 ** t))
-            w -= lr * rect * m_hat / (v_hat + eps)
+            v_hat = np.sqrt(v / (1 - beta2 ** t))
+            w = w - lr * rect * m_hat / (v_hat + eps)
         else:
-            w -= lr * m_hat
+            w = w - lr * m_hat
 
-        opt.step({"w": np.array([1.0])}, lr=lr, beta1=beta1)
-        assert p["w"][0] == pytest.approx(w, abs=1e-12), f"step {t}"
-
-
-def test_forced_rectified_branch_with_unit_rectifier_is_adam():
-    beta1, beta2, eps, lr = 0.9, 0.999, 1e-8, 1e-3
-    rng = np.random.default_rng(0)
-    g_seq = [rng.normal(size=3) for _ in range(10)]
-
-    p = {"w": np.zeros(3)}
-    opt = RAdam(p, beta2=beta2, eps=eps)
-
-    # plain Adam twin
-    w = np.zeros(3)
-    m = np.zeros(3)
-    v = np.zeros(3)
-    for t, g in enumerate(g_seq, start=1):
-        m = beta1 * m + (1 - beta1) * g
-        v = beta2 * v + (1 - beta2) * g * g
-        m_hat = m / (1 - beta1 ** t)
-        v_hat = np.sqrt(v / (1 - beta2 ** t))
-        w -= lr * m_hat / (v_hat + eps)
-
-        opt.step({"w": g}, lr=lr, beta1=beta1,
-                 force_branch="rectified", rectifier_override=1.0)
-    np.testing.assert_allclose(p["w"], w, atol=1e-15)
+        opt.step({"w": g}, lr=lr, beta1=beta1)
+        np.testing.assert_allclose(p["w"], w, rtol=0, atol=1e-12,
+                                   err_msg=f"step {t}")
 
 
 def test_update_independent_of_param_order():
