@@ -22,11 +22,11 @@ from scipy.special import expit
 
 from . import tensor as T
 from .data import to_one_hot
-from .errors import DomainError, ShapeError
+from .errors import ConfigError, DomainError, ShapeError
 from .nn import cross_entropy, draw_mix_weight, mask_to_logits, mixup
 from .optim import OneCycleSchedule, RAdam, schedule_at
 from .routing import (CapsuleBatch, RoutingConfig, RoutingParams, init_params,
-                      route)
+                      is_count, is_finite_number, route)
 
 _EVAL_BATCH = 100
 
@@ -117,6 +117,24 @@ class TrainRegime:
     mixup_alpha: tuple[float, float] = (0.2, 0.2)
     seed: int = 0
     threads: int = 1
+
+    def __post_init__(self):
+        for name, least in (("epochs", 1), ("batch_size", 1), ("seed", 0),
+                            ("threads", 1)):
+            if not is_count(getattr(self, name), least):
+                raise ConfigError(f"{name} must be an int >= {least}")
+        for name in ("lr_start", "lr_peak", "beta1_start", "beta1_peak",
+                     "warm_frac"):
+            if not is_finite_number(getattr(self, name)):
+                raise ConfigError(f"{name} must be a finite number")
+        if not 0 < self.warm_frac < 1:
+            raise ConfigError("warm_frac must lie in (0, 1)")
+        if not isinstance(self.mixup, bool):
+            raise ConfigError("mixup must be a bool")
+        alpha = self.mixup_alpha
+        if not (isinstance(alpha, (tuple, list)) and len(alpha) == 2
+                and all(is_finite_number(a) and a > 0 for a in alpha)):
+            raise ConfigError("mixup_alpha must be a pair of positive numbers")
 
 
 @dataclass

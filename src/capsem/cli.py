@@ -24,7 +24,7 @@ from .data import (ConstellationSpec, make_dataset, read_capsules, read_json,
                    read_model, spec_from_dict, write_capsules, write_model)
 from .errors import (ConfigError, DataFormatError, DomainError, ShapeError)
 from .routing import (CapsuleBatch, RoutingConfig, RoutingParams, init_params,
-                      param_count, route)
+                      is_count, param_count, route)
 from .tensor import Tape, backward, grad_check, reduce_sum, square
 
 
@@ -104,6 +104,8 @@ def cmd_train(args) -> int:
         spec = spec_from_dict(task_cfg)
         n_train = train_cfg.get("train_samples", 2000)
         n_test = train_cfg.get("test_samples", 500)
+        if not (is_count(n_train, 0) and is_count(n_test, 0)):
+            raise ConfigError("train_samples and test_samples must be ints >= 0")
         train_caps, train_labels = make_dataset(spec, n_train)
         val_caps, val_labels = make_dataset(spec, n_test, start=n_train)
         d_cov, d_in = spec.d_cov, spec.d_in

@@ -30,7 +30,8 @@ from .errors import (ConfigError, DataFormatError, DomainError,
                      FormatVersionError, ShapeError)
 from .nn import mask_to_logits
 from .routing import (LOGIT_MAX, CapsuleBatch, RoutingConfig, RoutingParams,
-                      clamp_scores, learned_shapes)
+                      clamp_scores, is_count, is_finite_number,
+                      learned_shapes)
 
 # ---------------------------------------------------------------------------
 # constellation generator
@@ -51,14 +52,16 @@ class ConstellationSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_classes < 2:
-            raise ConfigError("n_classes must be >= 2")
-        if self.parts_per_class < 2:
-            raise ConfigError("parts_per_class must be >= 2")
+        for name, least in (("n_classes", 2), ("parts_per_class", 2),
+                            ("d_cov", 3), ("d_in", 3),
+                            ("n_distractors", 0), ("seed", 0)):
+            if not is_count(getattr(self, name), least):
+                raise ConfigError(f"{name} must be an int >= {least}")
+        for name in ("jitter_std", "score_present", "score_distractor"):
+            if not is_finite_number(getattr(self, name)):
+                raise ConfigError(f"{name} must be a finite number")
         if self.jitter_std < 0:
             raise ConfigError("jitter_std must be >= 0")
-        if self.d_cov < 3 or self.d_in < 3:
-            raise ConfigError("pose slots need d_cov >= 3 and d_in >= 3")
         for s in (self.score_present, self.score_distractor):
             if not -LOGIT_MAX <= s <= LOGIT_MAX:
                 raise ConfigError(
@@ -70,7 +73,9 @@ class ConstellationSpec:
 
 
 def spec_from_dict(d: dict) -> ConstellationSpec:
-    """Build a spec from parsed JSON; unknown keys are errors."""
+    """Build a spec from a parsed JSON object; unknown keys are errors."""
+    if not isinstance(d, dict):
+        raise ConfigError("constellation spec must be a JSON object")
     known = {f.name for f in fields(ConstellationSpec)}
     unknown = set(d) - known
     if unknown:

@@ -48,12 +48,12 @@ def clamp_scores(scores: np.ndarray) -> np.ndarray:
     return np.clip(scores, -LOGIT_MAX, LOGIT_MAX)
 
 
-def _is_count(value) -> bool:
-    """An int, not a bool, of at least 1."""
-    return type(value) is int and value >= 1
+def is_count(value, least: int = 1) -> bool:
+    """An int, not a bool, of at least ``least``."""
+    return type(value) is int and value >= least
 
 
-def _is_finite(value) -> bool:
+def is_finite_number(value) -> bool:
     """An int or float, not a bool, in the finite float range."""
     return isinstance(value, (int, float)) and not isinstance(value, bool) \
         and abs(value) <= sys.float_info.max
@@ -82,20 +82,20 @@ class RoutingConfig:
 
     def __post_init__(self):
         for name in ("d_cov", "d_in", "d_out", "n_iters"):
-            if not _is_count(getattr(self, name)):
+            if not is_count(getattr(self, name)):
                 raise ConfigError(f"{name} must be an int >= 1")
         if self.n_out == "variable":
             if self.n_in is not None:
                 raise ConfigError("variable n_out requires variable n_in")
-        elif not _is_count(self.n_out):
+        elif not is_count(self.n_out):
             raise ConfigError("n_out must be a positive int or 'variable'")
-        if self.n_in is not None and not _is_count(self.n_in):
+        if self.n_in is not None and not is_count(self.n_in):
             raise ConfigError("n_in must be a positive int when given")
         if not isinstance(self.tie_betas, bool):
             raise ConfigError("tie_betas must be a bool")
-        if not (_is_finite(self.var_floor) and self.var_floor >= 0):
+        if not (is_finite_number(self.var_floor) and self.var_floor >= 0):
             raise ConfigError("var_floor must be a finite number >= 0")
-        if not (_is_finite(self.denom_eps) and self.denom_eps > 0):
+        if not (is_finite_number(self.denom_eps) and self.denom_eps > 0):
             raise ConfigError("denom_eps must be a finite number > 0")
 
     @property
@@ -415,7 +415,8 @@ def route(params: RoutingParams, caps: CapsuleBatch, config: RoutingConfig,
 
     The whole computation lives on one tape, so gradients flow through
     every iteration. Returns the final RoutingOutput, plus a RoutingTrace
-    of detached per-iteration arrays when ``want_trace`` is set.
+    of detached per-iteration arrays when ``want_trace`` is set. Raises
+    DomainError when the final outputs are not finite.
     """
     caps = caps.batched()
     votes = compute_votes(params, caps, config, out_bias=out_bias)
@@ -433,6 +434,13 @@ def route(params: RoutingParams, caps: CapsuleBatch, config: RoutingConfig,
                 ignored=np.array(ignored.data, copy=True),
                 scores=np.array(state.scores.data, copy=True),
             ))
+    if not all(np.all(np.isfinite(t.data))
+               for t in (state.scores, state.poses, state.variances)):
+        raise DomainError(
+            "routing gave non-finite output scores, poses or variances from "
+            "finite capsules: pose magnitudes overflow the dtype once "
+            "squared, or the parameters are not finite"
+        )
     if want_trace:
         return state, RoutingTrace(steps)
     return state

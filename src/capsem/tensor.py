@@ -6,6 +6,11 @@ exp, log, square, logistic, softplus, swish}, two-operand ``contract``,
 reductions {sum, max, mean, logsumexp}, ``softmax``, and ``reshape``.
 Everything differentiable in this package is built from these.
 
+A contraction, forward or in either gradient, runs as one batched BLAS
+``np.matmul`` when it is a matrix product (a summed shared index and a
+kept index on each operand) and as ``np.einsum`` otherwise; the choice
+reads the signature alone, and results are C-contiguous.
+
 Values are immutable once wrapped in a :class:`Tensor`; a :class:`Tape` is
 single-threaded and append-only, so replaying the same graph on the same
 inputs is bit-identical.
@@ -25,6 +30,7 @@ Float32 runs therefore need nothing but float32 parameters and inputs.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -349,12 +355,55 @@ def _parse_contract_spec(spec: str) -> tuple[str, str, str]:
     return a_spec, b_spec, out
 
 
+def _product(x: np.ndarray, x_spec: str, y: np.ndarray, y_spec: str,
+             out: str) -> np.ndarray:
+    """``np.einsum(f"{x_spec},{y_spec}->{out}", x, y)`` for operands whose
+    shared indexes have equal extents.
+
+    A matrix product, one with a summed shared index and a kept index on
+    each side, runs as one batched ``np.matmul``: indexes on one operand
+    only and absent from ``out`` are summed first, shared kept indexes
+    form the batch, and each operand is laid out as (batch, M, K) or
+    (batch, K, N). Any other product stays on ``np.einsum``. Either way
+    the result is C-contiguous in ``out``'s order.
+    """
+    summed = [i for i in x_spec if i in y_spec and i not in out]
+    x_kept = [i for i in out if i in x_spec and i not in y_spec]
+    y_kept = [i for i in out if i in y_spec and i not in x_spec]
+    if not (summed and x_kept and y_kept):
+        res = np.einsum(f"{x_spec},{y_spec}->{out}", x, y)
+        return res if res.flags.c_contiguous else res.copy()
+    extents = dict(zip(x_spec, x.shape)) | dict(zip(y_spec, y.shape))
+    batch = [i for i in out if i in x_spec and i in y_spec]
+
+    def as_matrices(arr, spec, rows, cols):
+        keep = batch + rows + cols
+        lone = tuple(p for p, i in enumerate(spec) if i not in keep)
+        if lone:
+            arr = arr.sum(axis=lone)
+            spec = [i for i in spec if i in keep]
+        arr = arr.transpose([spec.index(i) for i in keep])
+        return arr.reshape([extents[i] for i in batch]
+                           + [math.prod(extents[i] for i in rows),
+                              math.prod(extents[i] for i in cols)])
+
+    prod = np.matmul(as_matrices(x, x_spec, x_kept, summed),
+                     as_matrices(y, y_spec, summed, y_kept))
+    order = batch + x_kept + y_kept
+    prod = prod.reshape([extents[i] for i in order])
+    return np.ascontiguousarray(prod.transpose([order.index(i) for i in out]))
+
+
 def contract(a, b, spec: str) -> Tensor:
     """Generalized two-operand product, e.g. ``contract(A, B, "ij,jk->ik")``.
 
     Indexes named in the output are kept, shared indexes missing from the
     output are summed over, and a shared non-summed index may broadcast
     (extent 1 against any extent). Shared summed indexes must match exactly.
+
+    The forward product and both gradient products run as one batched
+    ``np.matmul`` when they are matrix products (a summed shared index and
+    a kept index on each side) and through ``np.einsum`` otherwise.
     """
     a, b = _coerce_pair(a, b)
     a_spec, b_spec, out = _parse_contract_spec(spec)
@@ -387,11 +436,11 @@ def contract(a, b, spec: str) -> Tensor:
 
     a_b = np.broadcast_to(a.data, tuple(extents[i] for i in a_spec))
     b_b = np.broadcast_to(b.data, tuple(extents[i] for i in b_spec))
-    out_data = np.einsum(f"{a_spec},{b_spec}->{out}", a_b, b_b)
+    out_data = _product(a_b, a_spec, b_b, b_spec, out)
 
     def grad_operand(g, other_b, self_spec, other_spec, self_orig_shape):
         kept = "".join(i for i in self_spec if i in out or i in other_spec)
-        full = np.einsum(f"{out},{other_spec}->{kept}", g, other_b)
+        full = _product(g, out, other_b, other_spec, kept)
         if kept != self_spec:
             # indexes summed over on this operand alone: replicate
             expanded = full

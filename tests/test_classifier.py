@@ -5,6 +5,7 @@ from capsem.classifier import (TrainRegime, _batch_gradients, _mix_batch,
                                build_constellation_classifier, evaluate,
                                train_classifier)
 from capsem.data import ConstellationSpec, make_dataset, to_one_hot
+from capsem.errors import ConfigError
 from capsem.routing import CapsuleBatch, RoutingParams
 
 
@@ -78,6 +79,17 @@ def test_mix_batch_keeps_float32():
     mixed = _mix_batch(scores, poses, targets, lam=0.3,
                        rng=np.random.default_rng(1))
     assert [a.dtype for a in mixed] == [np.float32] * 3
+
+
+def test_regime_validation():
+    for bad in (dict(epochs=0), dict(batch_size=2.0), dict(seed=-1),
+                dict(threads=True), dict(lr_peak=float("inf")),
+                dict(beta1_start="0.9"), dict(warm_frac=0.0),
+                dict(mixup="yes"), dict(mixup_alpha=(0.2, 0.0)),
+                dict(mixup_alpha=(0.2,))):
+        with pytest.raises(ConfigError):
+            TrainRegime(**bad)
+    TrainRegime(mixup_alpha=[0.4, 0.4], lr_start=1)  # JSON list, int rate
 
 
 def test_training_improves_and_is_deterministic(small_data):

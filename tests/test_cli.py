@@ -69,6 +69,32 @@ def test_gen_data_malformed_spec_exits_2(tmp_path):
                  "--n", "5"]) == 2
 
 
+@pytest.mark.parametrize("doc", ["5", '{"n_classes": "5"}'],
+                         ids=["not_an_object", "string_count"])
+def test_gen_data_mistyped_spec_exits_2(tmp_path, capsys, doc):
+    spec = tmp_path / "spec.json"
+    spec.write_text(doc)
+    assert main(["gen-data", "--spec", str(spec),
+                 "--out", str(tmp_path / "d.caps"), "--n", "5"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("section,key,value", [
+    ("task", "n_classes", "5"),
+    ("train", "epochs", "2"),
+    ("train", "mixup", 1),
+    ("train", "mixup_alpha", [0.2]),
+    ("train", "warm_frac", 1.5),
+    ("train", "train_samples", "100"),
+])
+def test_train_mistyped_config_exits_2(tmp_path, capsys, section, key, value):
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({section: {key: value}}))
+    assert main(["train", "--config", str(config),
+                 "--out", str(tmp_path / "m.model")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {key}")
+
+
 # ---------------------------------------------------------------------------
 # train
 

@@ -89,6 +89,13 @@ def test_spec_validation():
         D.ConstellationSpec(score_present=LOGIT_MAX + 1)
     with pytest.raises(ConfigError):
         D.spec_from_dict({"n_classes": 5, "typo_key": 1})
+    for bad in (dict(n_classes=5.0), dict(d_cov=True), dict(seed=-1),
+                dict(n_distractors=-1), dict(jitter_std=float("nan")),
+                dict(score_present="4")):
+        with pytest.raises(ConfigError):
+            D.ConstellationSpec(**bad)
+    with pytest.raises(ConfigError, match="JSON object"):
+        D.spec_from_dict([["n_classes", 5]])
 
 
 # ---------------------------------------------------------------------------

@@ -6,13 +6,13 @@ from scipy.special import expit
 
 from capsem import tensor as T
 from capsem import routing as R
-from capsem.errors import ConfigError, ShapeError
+from capsem.errors import ConfigError, DomainError, ShapeError
 from capsem.routing import (CapsuleBatch, LOGIT_MAX, RoutingConfig,
                             RoutingParams, compute_votes, d_step, e_step,
                             init_params, m_step, param_count, route,
                             route_reference)
 from conftest import (random_caps, random_config, random_instance,
-                      random_params)
+                      random_out_bias, random_params)
 
 
 def small_fixed_config(**over):
@@ -305,6 +305,32 @@ def test_route_is_deterministic():
     np.testing.assert_array_equal(a.scores.data, b.scores.data)
     np.testing.assert_array_equal(a.poses.data, b.poses.data)
     np.testing.assert_array_equal(a.variances.data, b.variances.data)
+
+
+@pytest.mark.parametrize("mode", ["fixed", "variable_input",
+                                  "variable_output"])
+def test_route_is_batch_independent_and_repeatable(mode):
+    # matrix-product blocking may follow the batch extent; no sample's
+    # outputs may depend on which other samples share its batch
+    rng = np.random.default_rng(15)
+    cfg = RoutingConfig(n_out="variable" if mode == "variable_output" else 32,
+                        n_in=10 if mode == "fixed" else None,
+                        d_cov=4, d_in=4, d_out=4)
+    p = random_params(rng, cfg)
+    caps = random_caps(rng, cfg, batch=30, n=10)
+    out_bias = (random_out_bias(rng, cfg, n_out=32)
+                if mode == "variable_output" else None)
+    whole = route(p, caps, cfg, out_bias=out_bias)
+    again = route(p, caps, cfg, out_bias=out_bias)
+    halves = [route(p, CapsuleBatch(caps.scores[part], caps.poses[part]), cfg,
+                    out_bias=out_bias)
+              for part in (slice(0, 15), slice(15, 30))]
+    for name in ("scores", "poses", "variances"):
+        np.testing.assert_array_equal(getattr(again, name).data,
+                                      getattr(whole, name).data)
+        joined = np.concatenate([getattr(h, name).data for h in halves])
+        np.testing.assert_allclose(joined, getattr(whole, name).data,
+                                   rtol=0, atol=1e-12, err_msg=name)
 
 
 def test_route_permutation_invariance_variable_input():
@@ -628,6 +654,20 @@ def test_route_with_all_inputs_gated_off_stays_finite():
     assert np.all(np.isfinite(out.poses.data))
     np.testing.assert_allclose(out.scores.data, 0.0, atol=1e-10)
     assert np.all(out.variances.data >= cfg.var_floor)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_route_overflow_is_a_domain_error():
+    # finite poses whose squares overflow must not route to NaN silently
+    rng = np.random.default_rng(104)
+    cfg = small_fixed_config()
+    p = random_params(rng, cfg)
+    poses = rng.normal(size=(2, 3, 2, 2))
+    scores = rng.uniform(-2, 2, size=(2, 3))
+    ok = route(p, CapsuleBatch(scores, 1e100 * poses), cfg)
+    assert np.all(np.isfinite(ok.scores.data))
+    with pytest.raises(DomainError, match="non-finite"):
+        route(p, CapsuleBatch(scores, 1e200 * poses), cfg)
 
 
 def test_route_in_float32_mode():

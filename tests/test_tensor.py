@@ -251,6 +251,143 @@ def test_contract_gradients_cover_one_sided_and_broadcast_indexes():
         assert T.grad_check(fb, b) <= 1e-6, f"{spec} wrt B"
 
 
+# ---------------------------------------------------------------------------
+# contract against np.einsum: forward and both VJPs
+
+# extents of the routing indexes: batch b, inputs i, outputs j, pose rows c,
+# input columns d, output columns h
+_DESK_LAYER0 = dict(b=20, i=10, j=32, c=4, d=4, h=4)
+_DESK_LAYER1 = dict(b=20, i=32, j=5, c=4, d=4, h=4)
+_WIDE = dict(b=8, i=64, j=16, c=4, d=4, h=4)
+_ROUTING_SPECS = ["bicd,ijdh->bijch", "bicd,jdh->bijch", "bicd,dh->bich",
+                  "bij,bijch->bjch"]
+
+
+def _extents(a, a_spec, b, b_spec):
+    ext = {}
+    for name, n in [*zip(a_spec, a.shape), *zip(b_spec, b.shape)]:
+        ext[name] = max(n, ext.get(name, 1))
+    return ext
+
+
+def _einsum_vjps(a, a_spec, b, b_spec, out, g):
+    """Gradients of sum(g * einsum(a, b)) by one einsum each; an index on
+    one operand alone enters as a ones vector."""
+    ext = _extents(a, a_spec, b, b_spec)
+    a_b = np.broadcast_to(a, [ext[i] for i in a_spec])
+    b_b = np.broadcast_to(b, [ext[i] for i in b_spec])
+
+    def one(self_spec, self_shape, other, other_spec):
+        lone = [i for i in self_spec if i not in out + other_spec]
+        ones = [np.ones(ext[i]) for i in lone]
+        full = np.einsum(",".join([out, other_spec, *lone]) + "->" + self_spec,
+                         g, other, *ones)
+        axes = tuple(p for p, n in enumerate(self_shape) if n != full.shape[p])
+        return full.sum(axis=axes, keepdims=True)
+
+    return one(a_spec, a.shape, b_b, b_spec), one(b_spec, b.shape, a_b, a_spec)
+
+
+def _check_against_einsum(spec, a, b, rng):
+    lhs, out = spec.split("->")
+    a_spec, b_spec = lhs.split(",")
+    ext = _extents(a, a_spec, b, b_spec)
+    tape = T.Tape()
+    at, bt = tape.leaf(a), tape.leaf(b)
+    res = T.contract(at, bt, spec)
+    expected = np.einsum(spec, np.broadcast_to(a, [ext[i] for i in a_spec]),
+                         np.broadcast_to(b, [ext[i] for i in b_spec]))
+    assert res.shape == expected.shape, spec
+    assert res.data.flags.c_contiguous, spec
+    np.testing.assert_allclose(res.data, expected, rtol=0, atol=1e-12,
+                               err_msg=spec)
+
+    g = rng.normal(size=expected.shape)
+    grads = T.backward(tape, T.reduce_sum(T.mul(res, g)))
+    ga, gb = _einsum_vjps(a, a_spec, b, b_spec, out, g)
+    np.testing.assert_allclose(grads[at.node], ga, rtol=0, atol=1e-12,
+                               err_msg=f"{spec} wrt A")
+    np.testing.assert_allclose(grads[bt.node], gb, rtol=0, atol=1e-12,
+                               err_msg=f"{spec} wrt B")
+    return grads[at.node], grads[bt.node]
+
+
+@pytest.mark.parametrize("extents", [_DESK_LAYER0, _DESK_LAYER1, _WIDE],
+                         ids=["desk_layer0", "desk_layer1", "wide"])
+@pytest.mark.parametrize("spec", _ROUTING_SPECS)
+def test_contract_matches_einsum_on_routing_specs(spec, extents):
+    rng = np.random.default_rng(31)
+    a_spec, b_spec = spec.split("->")[0].split(",")
+    a = rng.normal(size=[extents[i] for i in a_spec])
+    b = rng.normal(size=[extents[i] for i in b_spec])
+    ga, gb = _check_against_einsum(spec, a, b, rng)
+    assert ga.flags.c_contiguous and gb.flags.c_contiguous
+
+
+@pytest.mark.parametrize("spec,a_shape,b_shape", [
+    ("bij,bjk->bik", (3, 2, 4), (3, 4, 5)),        # batch and contraction
+    ("bi,bi->b", (3, 4), (3, 4)),                  # batch indexes only
+    ("bi,bj->bij", (3, 4), (3, 2)),                # batched outer product
+    ("ij,ij->", (3, 4), (3, 4)),                   # contraction only
+    ("ij,jk->", (3, 4), (4, 2)),                   # scalar output
+    ("ijk,kl->il", (3, 2, 4), (4, 5)),             # j summed on A alone
+    ("ij,jkl->ik", (3, 4), (4, 2, 5)),             # l summed on B alone
+    ("bij,bjk->bik", (1, 2, 4), (3, 4, 5)),        # batch extent 1 on A
+    ("ibj,jbk->kib", (2, 3, 4), (4, 1, 5)),        # batch extent 1 on B
+])
+def test_contract_matches_einsum_on_special_products(spec, a_shape, b_shape):
+    rng = np.random.default_rng(32)
+    _check_against_einsum(spec, rng.normal(size=a_shape),
+                          rng.normal(size=b_shape), rng)
+
+
+def test_contract_matches_einsum_on_random_specs():
+    # every index plays one role: batch (shared, kept), summed (shared, not
+    # kept), kept on one side, or summed on one side alone; a batch index
+    # may have extent 1 on one side
+    rng = np.random.default_rng(33)
+    roles = ("batch", "summed", "a_kept", "b_kept", "a_lone", "b_lone")
+    for _ in range(60):
+        letters = iter("abcdefghijklmnop")
+        named = {r: [next(letters) for _ in range(rng.integers(0, 3))]
+                 for r in roles}
+        a_idx = named["batch"] + named["summed"] + named["a_kept"] \
+            + named["a_lone"]
+        b_idx = named["batch"] + named["summed"] + named["b_kept"] \
+            + named["b_lone"]
+        out = named["batch"] + named["a_kept"] + named["b_kept"]
+        if not a_idx or not b_idx:
+            continue
+        for idx in (a_idx, b_idx, out):
+            rng.shuffle(idx)
+        ext = {i: int(rng.integers(1, 5)) for i in a_idx + b_idx}
+        a_shape = [ext[i] for i in a_idx]
+        b_shape = [ext[i] for i in b_idx]
+        for i in named["batch"]:
+            if rng.random() < 0.3:
+                side = a_shape if rng.random() < 0.5 else b_shape
+                side[(a_idx if side is a_shape else b_idx).index(i)] = 1
+        spec = f"{''.join(a_idx)},{''.join(b_idx)}->{''.join(out)}"
+        _check_against_einsum(spec, rng.normal(size=a_shape),
+                              rng.normal(size=b_shape), rng)
+
+
+@pytest.mark.parametrize("spec", ["bicd,jdh->bijch", "bij,bijch->bjch"])
+def test_contract_keeps_float32(spec):
+    rng = np.random.default_rng(34)
+    a_spec, b_spec = spec.split("->")[0].split(",")
+    tape = T.Tape()
+    a = tape.leaf(rng.normal(size=[_WIDE[i] for i in a_spec])
+                  .astype(np.float32))
+    b = tape.leaf(rng.normal(size=[_WIDE[i] for i in b_spec])
+                  .astype(np.float32))
+    res = T.contract(a, b, spec)
+    assert res.dtype == np.float32 and res.data.flags.c_contiguous
+    grads = T.backward(tape, T.reduce_sum(res))
+    assert grads[a.node].dtype == np.float32
+    assert grads[b.node].dtype == np.float32
+
+
 def test_reduce_max_keepdims_gradient():
     def f(x):
         kept = T.reduce_max(x, axes=1, keepdims=True)
