@@ -114,17 +114,21 @@ def cmd_train(args) -> int:
         if "train" not in data_cfg:
             raise ConfigError("capsfile task needs config data.train")
         train_caps, train_labels = read_capsules(data_cfg["train"])
-        if train_labels is None:
-            raise DataFormatError(f"{data_cfg['train']} carries no labels")
+        val_caps, val_labels = train_caps, train_labels
         if "val" in data_cfg:
             val_caps, val_labels = read_capsules(data_cfg["val"])
-            if val_labels is None:
-                raise DataFormatError(f"{data_cfg['val']} carries no labels")
-        else:
-            val_caps, val_labels = train_caps, train_labels
+        for key, labels in (("train", train_labels), ("val", val_labels)):
+            if labels is None:
+                raise DataFormatError(f"{data_cfg[key]} carries no labels")
+        if len(train_labels) == 0:
+            raise DataFormatError(f"{data_cfg['train']} holds no samples")
+        n_classes = int(np.max(train_labels)) + 1
+        if np.any(val_labels >= n_classes):
+            raise DataFormatError(
+                f"{data_cfg['val']} has label {int(np.max(val_labels))}, "
+                f"but the training labels name {n_classes} classes")
         poses = T.asarray(train_caps.poses)
         d_cov, d_in = poses.shape[-2], poses.shape[-1]
-        n_classes = int(np.max(train_labels)) + 1
 
     model = build_constellation_classifier(d_cov, d_in, n_classes,
                                            seed=regime.seed, **model_cfg)
@@ -177,7 +181,7 @@ def cmd_route(args) -> int:
     print("sample," + ",".join(f"p{k}" for k in range(n_classes)))
     for i, row in enumerate(probs):
         print(f"{i}," + ",".join(f"{p:.6f}" for p in row))
-    if labels is not None:
+    if labels is not None and len(labels):
         acc = float((probs.argmax(axis=1) == labels).mean())
         print(f"accuracy,{acc:.4f}")
 
@@ -258,9 +262,9 @@ def _instance_grad_error(cfg, params, caps, out_bias) -> float:
             c = CapsuleBatch(vals.pop("scores"), vals.pop("poses"))
             p = RoutingParams.from_items(vals.items())
             out = route(p, c, cfg, out_bias=out_bias)
-            return reduce_sum(square(out.scores)) \
-                + reduce_sum(square(out.poses)) \
-                + reduce_sum(out.variances)
+            return T.add(T.add(reduce_sum(square(out.scores)),
+                               reduce_sum(square(out.poses))),
+                         reduce_sum(out.variances))
         worst = max(worst, grad_check(f, np.asarray(value), step=1e-5))
     return worst
 
@@ -291,15 +295,23 @@ def _parse_grid(spec: str) -> dict[str, list[str]]:
         if "=" not in part:
             raise ConfigError(f"bad grid term {part!r}; expected key=v1,v2")
         key, values = part.split("=", 1)
-        grid[key.strip()] = [v.strip() for v in values.split(",") if v.strip()]
-    allowed = {"n_in", "n_out", "variant"}
-    unknown = set(grid) - allowed
+        values = [v.strip() for v in values.split(",") if v.strip()]
+        if not values:
+            raise ConfigError(f"grid key {key.strip()!r} has no values")
+        grid[key.strip()] = values
+    unknown = set(grid) - {"n_in", "n_out", "variant"}
     if unknown:
         raise ConfigError(f"unknown grid keys: {sorted(unknown)}")
+    for key in ("n_in", "n_out"):
+        for v in grid.get(key, ()):
+            if not (v.isdecimal() and int(v) >= 1):
+                raise ConfigError(f"grid {key} value {v!r} is not an int >= 1")
     return grid
 
 
 def cmd_bench(args) -> int:
+    if args.reps < 1:
+        raise ConfigError(f"--reps must be at least 1, got {args.reps}")
     grid = _parse_grid(args.grid)
     n_ins = [int(v) for v in grid.get("n_in", ["8", "16", "32"])]
     n_outs = [int(v) for v in grid.get("n_out", ["4", "8", "16"])]
@@ -330,8 +342,8 @@ def cmd_bench(args) -> int:
                     tape = Tape()
                     tracked = params.tracked(tape)
                     out = route(tracked, caps, cfg)
-                    loss = reduce_sum(square(out.scores)) \
-                        + reduce_sum(square(out.poses))
+                    loss = T.add(reduce_sum(square(out.scores)),
+                                 reduce_sum(square(out.poses)))
                     backward(tape, loss)
 
                 bwd = _time_ns(fwd_bwd, args.reps)

@@ -156,6 +156,8 @@ def gen_constellation(spec: ConstellationSpec, n_samples: int, start: int = 0):
 def make_dataset(spec: ConstellationSpec, n_samples: int,
                  start: int = 0) -> tuple[CapsuleBatch, np.ndarray]:
     """Stack a generated range into one float64 batch plus its labels."""
+    if n_samples < 0:
+        raise ConfigError(f"sample count must be >= 0, got {n_samples}")
     all_scores, all_poses, labels = [], [], []
     for scores, poses, label in gen_constellation(spec, n_samples, start):
         all_scores.append(scores)
@@ -421,7 +423,7 @@ def _json_array(doc: dict, name: str, shape: tuple | None = None,
         raise DataFormatError(f"{doc['kind']} document has no {name!r}")
     try:
         arr = np.array(doc[name], dtype=dtype)
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, OverflowError) as e:
         raise DataFormatError(f"{name!r} is not a numeric array ({e})") from None
     if shape is not None and arr.shape != shape:
         raise DataFormatError(
@@ -443,6 +445,9 @@ def _read_capsules_json(path):
     batch = _stored_batch(scores, _json_array(doc, "poses"))
     labels = None
     if "labels" in doc:
+        if not (isinstance(doc["labels"], list)
+                and all(is_count(v, 0) for v in doc["labels"])):
+            raise DataFormatError("'labels' must be non-negative integers")
         labels = _json_array(doc, "labels", scores.shape[:-1], np.int64)
     return batch, labels
 

@@ -4,8 +4,13 @@ reductions, and reverse-mode differentiation on an explicit tape.
 The op set is deliberately closed: elementwise {add, sub, mul, div, neg,
 exp, log, square, logistic, softplus, swish}, two-operand ``contract``,
 reductions {sum, max, mean, logsumexp}, ``softmax``, and ``reshape``.
-Everything differentiable in this package is built from these.
+Everything differentiable in this package is built from these. Ops are
+called as functions, ``add(a, b)`` and not ``a + b``: a :class:`Tensor`
+defines no arithmetic operators.
 
+A contraction signature names each index in the output or on both
+operands, and a shared index has equal extents on both; ``contract``
+neither broadcasts nor sums an index that only one operand carries.
 A contraction, forward or in either gradient, runs as one batched BLAS
 ``np.matmul`` when it is a matrix product (a summed shared index and a
 kept index on each operand) and as ``np.einsum`` otherwise; the choice
@@ -76,8 +81,8 @@ class Tensor:
 
     __slots__ = ("data", "tape", "node")
 
-    # keep numpy from hijacking mixed expressions like `ndarray + Tensor`,
-    # which would silently drop gradient tracking
+    # safety guard: with no operators defined, `ndarray + Tensor` raises
+    # TypeError instead of numpy building an object array without gradients
     __array_ufunc__ = None
 
     def __init__(self, data: np.ndarray, tape: Tape | None = None,
@@ -98,46 +103,12 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    @property
-    def tracked(self) -> bool:
-        return self.tape is not None
-
     def item(self) -> float:
         return float(self.data)
 
-    def reshape(self, shape) -> "Tensor":
-        return reshape(self, shape)
-
     def __repr__(self) -> str:
-        tag = f", node={self.node}" if self.tracked else ""
+        tag = f", node={self.node}" if self.tape is not None else ""
         return f"Tensor(shape={self.shape}{tag})"
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return neg(self)
 
 
 def tensor(data) -> Tensor:
@@ -352,17 +323,20 @@ def _parse_contract_spec(spec: str) -> tuple[str, str, str]:
         raise ShapeError(
             f"output index {sorted(unknown)} not present in operands ({spec!r})"
         )
+    for name in a_spec + b_spec:
+        if name not in out and not (name in a_spec and name in b_spec):
+            raise ShapeError(f"index '{name}' is on one operand only and "
+                             f"not in the output of {spec!r}")
     return a_spec, b_spec, out
 
 
 def _product(x: np.ndarray, x_spec: str, y: np.ndarray, y_spec: str,
              out: str) -> np.ndarray:
-    """``np.einsum(f"{x_spec},{y_spec}->{out}", x, y)`` for operands whose
-    shared indexes have equal extents.
+    """``np.einsum(f"{x_spec},{y_spec}->{out}", x, y)`` for a signature
+    that :func:`contract` accepts.
 
     A matrix product, one with a summed shared index and a kept index on
-    each side, runs as one batched ``np.matmul``: indexes on one operand
-    only and absent from ``out`` are summed first, shared kept indexes
+    each side, runs as one batched ``np.matmul``: shared kept indexes
     form the batch, and each operand is laid out as (batch, M, K) or
     (batch, K, N). Any other product stays on ``np.einsum``. Either way
     the result is C-contiguous in ``out``'s order.
@@ -377,12 +351,7 @@ def _product(x: np.ndarray, x_spec: str, y: np.ndarray, y_spec: str,
     batch = [i for i in out if i in x_spec and i in y_spec]
 
     def as_matrices(arr, spec, rows, cols):
-        keep = batch + rows + cols
-        lone = tuple(p for p, i in enumerate(spec) if i not in keep)
-        if lone:
-            arr = arr.sum(axis=lone)
-            spec = [i for i in spec if i in keep]
-        arr = arr.transpose([spec.index(i) for i in keep])
+        arr = arr.transpose([spec.index(i) for i in batch + rows + cols])
         return arr.reshape([extents[i] for i in batch]
                            + [math.prod(extents[i] for i in rows),
                               math.prod(extents[i] for i in cols)])
@@ -395,11 +364,12 @@ def _product(x: np.ndarray, x_spec: str, y: np.ndarray, y_spec: str,
 
 
 def contract(a, b, spec: str) -> Tensor:
-    """Generalized two-operand product, e.g. ``contract(A, B, "ij,jk->ik")``.
+    """Two-operand product, e.g. ``contract(A, B, "ij,jk->ik")``.
 
-    Indexes named in the output are kept, shared indexes missing from the
-    output are summed over, and a shared non-summed index may broadcast
-    (extent 1 against any extent). Shared summed indexes must match exactly.
+    Every index is in the output or on both operands: output indexes are
+    kept, shared indexes missing from the output are summed over, and a
+    shared index has the same extent on both operands. Any other
+    signature is a ``ShapeError`` that names the offending index.
 
     The forward product and both gradient products run as one batched
     ``np.matmul`` when they are matrix products (a summed shared index and
@@ -412,53 +382,16 @@ def contract(a, b, spec: str) -> Tensor:
             f"signature {spec!r} names {len(a_spec)},{len(b_spec)} axes but "
             f"operands have shapes {a.shape},{b.shape}"
         )
-
-    extents: dict[str, int] = {}
-    for name, n in zip(a_spec, a.shape):
-        extents[name] = n
+    a_extents = dict(zip(a_spec, a.shape))
     for name, n in zip(b_spec, b.shape):
-        if name not in extents:
-            extents[name] = n
-            continue
-        m = extents[name]
-        if m == n:
-            continue
-        if name not in out:
-            raise ShapeError(
-                f"summed index '{name}' has extents {m} and {n}"
-            )
-        if 1 in (m, n):
-            extents[name] = max(m, n)
-        else:
-            raise ShapeError(
-                f"shared index '{name}' has extents {m} and {n}"
-            )
+        m = a_extents.get(name, n)
+        if m != n:
+            raise ShapeError(f"shared index '{name}' has extents {m} and {n}")
 
-    a_b = np.broadcast_to(a.data, tuple(extents[i] for i in a_spec))
-    b_b = np.broadcast_to(b.data, tuple(extents[i] for i in b_spec))
-    out_data = _product(a_b, a_spec, b_b, b_spec, out)
-
-    def grad_operand(g, other_b, self_spec, other_spec, self_orig_shape):
-        kept = "".join(i for i in self_spec if i in out or i in other_spec)
-        full = _product(g, out, other_b, other_spec, kept)
-        if kept != self_spec:
-            # indexes summed over on this operand alone: replicate
-            expanded = full
-            for pos, name in enumerate(self_spec):
-                if name not in kept:
-                    expanded = np.expand_dims(expanded, pos)
-            full = np.broadcast_to(
-                expanded, tuple(extents[i] for i in self_spec)
-            )
-        return _unbroadcast(full, self_orig_shape)
-
-    ash, bsh = a.shape, b.shape
-
-    def vjp(g):
-        return (grad_operand(g, b_b, a_spec, b_spec, ash),
-                grad_operand(g, a_b, b_spec, a_spec, bsh))
-
-    return _record(out_data, (a, b), vjp)
+    ad, bd = a.data, b.data
+    return _record(_product(ad, a_spec, bd, b_spec, out), (a, b),
+                   lambda g: (_product(g, out, bd, b_spec, a_spec),
+                              _product(g, out, ad, a_spec, b_spec)))
 
 
 # ---------------------------------------------------------------------------

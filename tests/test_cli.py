@@ -179,6 +179,34 @@ def test_train_threads_match_single_thread_epoch0(tmp_path, capsys):
     assert a == b  # deterministic under threading
 
 
+@pytest.mark.parametrize("case,message", [
+    ("empty_train", "holds no samples"),
+    ("val_label_too_large", "but the training labels name"),
+    ("negative_json_label", "non-negative integers"),
+], ids=["empty_train", "val_label_too_large", "negative_json_label"])
+def test_train_capsfile_rejects_bad_labels(tmp_path, capsys, case, message):
+    from capsem.data import ConstellationSpec, make_dataset, write_capsules
+    spec = ConstellationSpec()
+    json_train = case == "negative_json_label"
+    train = tmp_path / ("t.json" if json_train else "t.caps")
+    n_train = 0 if case == "empty_train" else 10
+    write_capsules(train, *make_dataset(spec, n_train))
+    if json_train:
+        doc = json.loads(train.read_text())
+        doc["labels"][0] = -1
+        train.write_text(json.dumps(doc))
+    val = tmp_path / "v.caps"
+    batch, labels = make_dataset(spec, 4, start=10)
+    write_capsules(val, batch, labels + 5 * (case == "val_label_too_large"))
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps(
+        {"data": {"train": str(train), "val": str(val)}}))
+    assert main(["train", "--task", "capsfile", "--config", str(config),
+                 "--out", str(tmp_path / "m.model")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
 # ---------------------------------------------------------------------------
 # route
 
@@ -261,6 +289,19 @@ def test_route_dim_mismatch_exits_2(toy_files, tmp_path, capsys):
     assert "(2, 2)" in err and "(4, 4)" in err  # found vs expected dims
 
 
+@pytest.mark.filterwarnings("error")
+def test_route_empty_file_prints_only_header(tmp_path, capsys):
+    from capsem.classifier import build_constellation_classifier
+    from capsem.data import write_model
+    model = tmp_path / "m.caps"
+    write_model(model, build_constellation_classifier(4, 4, 3).layers, 3)
+    empty = tmp_path / "empty.caps"
+    assert main(["gen-data", "--out", str(empty), "--n", "0"]) == 0
+    capsys.readouterr()
+    assert main(["route", "--model", str(model), "--input", str(empty)]) == 0
+    assert capsys.readouterr().out.splitlines() == ["sample,p0,p1,p2"]
+
+
 @pytest.mark.parametrize("text", [
     '{"format": "caps-json", "version": 1, "kind": "capsule_batch", "sco',
     '[1, 2]',
@@ -313,6 +354,22 @@ def test_bench_csv_schema(tmp_path, capsys):
 def test_bench_rejects_unknown_grid_key(tmp_path):
     assert main(["bench", "--grid", "bogus=1", "--csv",
                  str(tmp_path / "b.csv")]) == 2
+
+
+@pytest.mark.parametrize("argv,bad", [
+    (["bench", "--reps", "0"], "0"),
+    (["bench", "--grid", "n_in=abc"], "'abc'"),
+    (["bench", "--grid", "n_in="], "'n_in'"),
+    (["gen-data", "--n", "-5"], "-5"),
+], ids=["bench_zero_reps", "bench_non_int_grid", "bench_empty_grid",
+        "gen_data_negative_n"])
+def test_bad_counts_exit_2(tmp_path, capsys, argv, bad):
+    out = tmp_path / "out"
+    where = ["--csv" if argv[0] == "bench" else "--out", str(out)]
+    assert main(argv + where) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and bad in err
+    assert not out.exists()
 
 
 def test_inspect_reports_sharing_factors(toy_files, capsys):

@@ -125,6 +125,26 @@ def test_capsule_file_json_round_trip(tmp_path):
     np.testing.assert_array_equal(back.poses, np.asarray(batch.poses))
 
 
+@pytest.mark.parametrize("field,value,message", [
+    ("labels", [-1, 0], "non-negative integers"),
+    ("labels", [1.5, 0], "non-negative integers"),
+    ("labels", [True, 0], "non-negative integers"),
+    ("labels", [0, 10**30], "labels"),
+    ("scores", [[0.5, 10**400]] * 2, "scores"),
+], ids=["negative_label", "fractional_label", "bool_label", "huge_label",
+        "huge_int_score"])
+def test_capsule_file_json_rejects_bad_values(tmp_path, field, value,
+                                              message):
+    batch = CapsuleBatch(np.zeros((2, 2)), np.zeros((2, 2, 1, 1)))
+    path = tmp_path / "batch.json"
+    D.write_capsules(path, batch, np.array([0, 1]))
+    doc = json.loads(path.read_text())
+    doc[field] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(DataFormatError, match=message):
+        D.read_capsules(path)
+
+
 def test_capsule_file_rejects_bad_magic(tmp_path):
     path = tmp_path / "bad.caps"
     rng = np.random.default_rng(13)
@@ -399,6 +419,11 @@ def test_ingest_batched_vectors():
 
 # ---------------------------------------------------------------------------
 # empty dataset
+
+
+def test_negative_sample_count_is_a_config_error():
+    with pytest.raises(ConfigError, match="-5"):
+        D.make_dataset(D.ConstellationSpec(), -5)
 
 
 def test_empty_dataset_round_trips(tmp_path):
