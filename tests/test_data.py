@@ -1,4 +1,5 @@
 import json
+import math
 import struct
 
 import numpy as np
@@ -8,8 +9,8 @@ from conftest import random_params
 from capsem import data as D
 from capsem.errors import (ConfigError, DataFormatError, DomainError,
                            FormatVersionError, ShapeError)
-from capsem.routing import LOGIT_MAX, CapsuleBatch, RoutingConfig
-from capsem.routing import init_params
+from capsem.routing import (LOGIT_MAX, CapsuleBatch, RoutingConfig,
+                            RoutingParams, init_params, learned_shapes)
 
 
 # ---------------------------------------------------------------------------
@@ -218,6 +219,22 @@ def test_capsule_file_payload_length_arithmetic(tmp_path):
     assert path.stat().st_size == header + payload
 
 
+def test_capsule_file_matches_documented_example(tmp_path):
+    # the 53-byte example of docs/capsule_file_format.md
+    path = tmp_path / "example.caps"
+    D.write_capsules(path, CapsuleBatch(np.array([[0.5]]),
+                                        np.array([[[[1.0, 2.0]]]])),
+                     np.array([3]))
+    assert path.read_bytes() == bytes.fromhex(
+        "43 41 50 53 01 00 01 01"
+        "01 01 00 00 00 01 00 00"
+        "00 01 00 00 00 02 00 00"
+        "00 00 00 00 00 00 00 e0"
+        "3f 00 00 00 00 00 00 f0"
+        "3f 00 00 00 00 00 00 00"
+        "40 03 00 00 00")
+
+
 _LAYOUTS = (
     RoutingConfig(n_out=3, n_in=4, d_cov=2, d_in=2, d_out=3),
     RoutingConfig(n_out=3, n_in=4, d_cov=2, d_in=2, d_out=3, tie_betas=True),
@@ -315,6 +332,52 @@ def test_layer_record_with_rejected_dims_is_a_format_error(tmp_path, reader):
         path.write_bytes(bytes(blob))
         with pytest.raises(DataFormatError, match=name):
             read(path)
+
+
+def _counting_params(config, dtype):
+    """Parameters whose values count up through every stored array."""
+    start = 0
+    items = []
+    for name, shape in learned_shapes(config).items():
+        size = math.prod(shape)
+        items.append((name, np.arange(start, start + size, dtype=dtype)
+                      .reshape(shape) / 8))
+        start += size
+    return RoutingParams.from_items(items)
+
+
+@pytest.mark.parametrize("cfg, dtype, mode_byte", [
+    (RoutingConfig(n_out=3, d_cov=2, d_in=2, d_out=3, n_iters=2,
+                   var_floor=1e-6, denom_eps=1e-9), np.float64, 1),
+    (RoutingConfig(n_out=2, n_in=3, d_cov=2, d_in=1, d_out=2,
+                   tie_betas=True), np.float32, 0),
+], ids=["float64_untied_variable_input", "float32_tied_fixed"])
+def test_params_file_matches_documented_layer_record(tmp_path, cfg, dtype,
+                                                     mode_byte):
+    params = _counting_params(cfg, dtype)
+    path = tmp_path / "layer.caps"
+    D.write_params(path, params, cfg)
+    code, le = (1, "<f8") if dtype == np.float64 else (2, "<f4")
+    expected = (b"CAPS" + struct.pack("<HBB", 1, 2, code)
+                + struct.pack("<BB", mode_byte, int(cfg.tie_betas))
+                + struct.pack("<5I", cfg.n_in or 0, cfg.n_out, cfg.d_cov,
+                              cfg.d_in, cfg.d_out)
+                + struct.pack("<I", cfg.n_iters)
+                + struct.pack("<dd", cfg.var_floor, cfg.denom_eps)
+                + b"".join(np.asarray(value, dtype=le).tobytes()
+                           for _, value in params.items()))
+    assert path.read_bytes() == expected
+
+
+def test_params_json_key_order(tmp_path):
+    cfg = _LAYOUTS[0]
+    path = tmp_path / "params.json"
+    D.write_params(path, init_params(cfg, seed=0), cfg)
+    doc = json.loads(path.read_text())
+    assert list(doc) == ["format", "version", "kind", "mode", "tie_betas",
+                         "dims", "n_iters", "var_floor", "denom_eps",
+                         "weights", "biases", "beta_use", "beta_ign"]
+    assert list(doc["dims"]) == ["n_in", "n_out", "d_cov", "d_in", "d_out"]
 
 
 def test_params_writer_rejects_params_of_another_layout(tmp_path):
