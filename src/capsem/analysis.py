@@ -84,19 +84,6 @@ def write_pose_metrics_csv(path, metrics: PoseTrajectoryMetrics) -> None:
             writer.writerow(row)
 
 
-def read_pose_metrics_csv(path) -> PoseTrajectoryMetrics:
-    with open(path, newline="") as f:
-        rows = list(csv.reader(f))
-    header, body = rows[0], rows[1:]
-    d_cov = sum(1 for h in header if h.startswith("rel_dist_"))
-    data = np.array([[float(v) for v in row[1:]] for row in body])
-    return PoseTrajectoryMetrics(
-        rel_dist=data[:, :d_cov],
-        norm_ratio=data[:, d_cov:2 * d_cov],
-        cosine=data[:, 2 * d_cov:],
-    )
-
-
 @dataclass
 class IterationSummary:
     probs_entropy: np.ndarray  # (batch, n_in), nats

@@ -23,8 +23,8 @@ from .classifier import (CapsuleClassifier, TrainRegime,
 from .data import (ConstellationSpec, make_dataset, read_capsules, read_json,
                    read_model, spec_from_dict, write_capsules, write_model)
 from .errors import (ConfigError, DataFormatError, DomainError, ShapeError)
-from .routing import (CapsuleBatch, RoutingConfig, RoutingParams, init_params,
-                      is_count, param_count, route)
+from .routing import (CapsuleBatch, RoutingParams, init_params, is_count,
+                      mode_config, param_count, route)
 from .tensor import Tape, backward, grad_check, reduce_sum, square
 
 
@@ -72,9 +72,8 @@ def cmd_gen_data(args) -> int:
 
 _TASK_KEYS = {f for f in ConstellationSpec.__dataclass_fields__}
 _MODEL_KEYS = {"n_mid", "d_mid", "d_out", "n_iters", "tie_betas", "var_floor"}
-_TRAIN_KEYS = {"epochs", "batch_size", "train_samples", "test_samples",
-               "mixup", "mixup_alpha", "seed", "lr_start", "lr_peak",
-               "beta1_start", "beta1_peak", "warm_frac", "threads"}
+_TRAIN_KEYS = {f for f in TrainRegime.__dataclass_fields__} \
+    | {"train_samples", "test_samples"}
 _DATA_KEYS = {"train", "val"}
 
 
@@ -120,8 +119,8 @@ def cmd_train(args) -> int:
         for key, labels in (("train", train_labels), ("val", val_labels)):
             if labels is None:
                 raise DataFormatError(f"{data_cfg[key]} carries no labels")
-        if len(train_labels) == 0:
-            raise DataFormatError(f"{data_cfg['train']} holds no samples")
+            if len(labels) == 0:
+                raise DataFormatError(f"{data_cfg[key]} holds no samples")
         n_classes = int(np.max(train_labels)) + 1
         if np.any(val_labels >= n_classes):
             raise DataFormatError(
@@ -227,14 +226,8 @@ def _gradcheck_suite(seed: int):
     suite = []
     for mode, tie in (("fixed", False), ("fixed", True),
                       ("variable_input", False), ("variable_output", False)):
-        if mode == "fixed":
-            cfg = RoutingConfig(n_out=2, n_in=3, d_cov=2, d_in=2, d_out=2,
-                                n_iters=3, tie_betas=tie)
-        elif mode == "variable_input":
-            cfg = RoutingConfig(n_out=2, d_cov=2, d_in=2, d_out=2, n_iters=3)
-        else:
-            cfg = RoutingConfig(n_out="variable", d_cov=2, d_in=2, d_out=2,
-                                n_iters=3)
+        cfg = mode_config(mode, 3, 2, d_cov=2, d_in=2, d_out=2, n_iters=3,
+                          tie_betas=tie)
         params = init_params(cfg, int(rng.integers(2 ** 31)))
         for _, value in params.items():
             view = np.atleast_1d(value)  # a view, so scalars update in place
@@ -306,6 +299,9 @@ def _parse_grid(spec: str) -> dict[str, list[str]]:
         for v in grid.get(key, ()):
             if not (v.isdecimal() and int(v) >= 1):
                 raise ConfigError(f"grid {key} value {v!r} is not an int >= 1")
+    for v in grid.get("variant", ()):
+        if v not in ("fixed", "variable_input"):
+            raise ConfigError(f"unknown variant {v!r}")
     return grid
 
 
@@ -324,13 +320,7 @@ def cmd_bench(args) -> int:
     for variant in variants:
         for n_in in n_ins:
             for n_out in n_outs:
-                if variant == "fixed":
-                    cfg = RoutingConfig(n_out=n_out, n_in=n_in, n_iters=iters,
-                                        **dims)
-                elif variant == "variable_input":
-                    cfg = RoutingConfig(n_out=n_out, n_iters=iters, **dims)
-                else:
-                    raise ConfigError(f"unknown variant {variant!r}")
+                cfg = mode_config(variant, n_in, n_out, n_iters=iters, **dims)
                 params = init_params(cfg, int(rng.integers(2 ** 31)))
                 caps = CapsuleBatch(
                     rng.uniform(-2, 2, size=(batch, n_in)),
@@ -409,10 +399,7 @@ def cmd_inspect(args) -> int:
               f"betas={counts.betas} total={counts.total}")
         if cfg.mode == "fixed":
             shared = param_count(replace(cfg, n_in=None))
-            var_out = param_count(
-                RoutingConfig(n_out="variable", d_cov=cfg.d_cov,
-                              d_in=cfg.d_in, d_out=cfg.d_out,
-                              n_iters=cfg.n_iters, tie_betas=cfg.tie_betas))
+            var_out = param_count(replace(cfg, n_in=None, n_out="variable"))
             print(f"  sharing: variable_input total={shared.total} "
                   f"factor={counts.total / shared.total:g} (= n_in); "
                   f"variable_output weights={var_out.weights} "

@@ -16,7 +16,6 @@ docs/capsule_file_format.md for the byte-level layout.
 
 from __future__ import annotations
 
-import io
 import json
 import math
 import struct
@@ -29,9 +28,9 @@ from . import tensor as T
 from .errors import (ConfigError, DataFormatError, DomainError,
                      FormatVersionError, ShapeError)
 from .nn import mask_to_logits
-from .routing import (LOGIT_MAX, CapsuleBatch, RoutingConfig, RoutingParams,
-                      clamp_scores, is_count, is_finite_number,
-                      learned_shapes)
+from .routing import (LOGIT_MAX, MODES, CapsuleBatch, RoutingConfig,
+                      RoutingParams, clamp_scores, is_count, is_finite_number,
+                      learned_shapes, mode_config)
 
 # ---------------------------------------------------------------------------
 # constellation generator
@@ -269,8 +268,8 @@ FORMAT_VERSION = 1
 _KIND_BATCH, _KIND_PARAMS, _KIND_MODEL = 1, 2, 3
 _DTYPE_CODES = {1: np.dtype("<f8"), 2: np.dtype("<f4")}
 _CODES_BY_KIND = {np.dtype(np.float64): 1, np.dtype(np.float32): 2}
-_MODES = {"fixed": 0, "variable_input": 1, "variable_output": 2}
-_MODES_BACK = {v: k for k, v in _MODES.items()}
+# a layer record's metadata: the values of _layer_meta, in order
+_LAYER_RECORD = "<BB5I I dd"
 
 
 class _Reader:
@@ -295,7 +294,7 @@ class _Reader:
 
     def floats(self, dtype: np.dtype, count: int) -> np.ndarray:
         raw = self.take(count * dtype.itemsize)
-        return np.frombuffer(raw, dtype=dtype).copy()
+        return np.frombuffer(raw, dtype=dtype).astype(dtype.newbyteorder("="))
 
     def done(self):
         if self.offset != len(self.blob):
@@ -312,15 +311,23 @@ def _dtype_code(arr: np.ndarray) -> int:
     return code
 
 
-def _header(kind: int, dtype_code: int) -> bytes:
-    return MAGIC + struct.pack("<HBB", FORMAT_VERSION, kind, dtype_code)
+def _write_file(path, kind: int, code: int, *parts: bytes) -> None:
+    """Write a binary file of ``kind``: the header naming dtype ``code``,
+    then ``parts``."""
+    with open(path, "wb") as f:
+        f.write(MAGIC + struct.pack("<HBB", FORMAT_VERSION, kind, code))
+        f.writelines(parts)
 
 
-def _read_header(r: _Reader, expect_kind: int | None = None) -> tuple[int, np.dtype]:
+def _read_file(path, kind: int) -> tuple[_Reader, np.dtype]:
+    """A reader past the header of the binary file of ``kind`` at
+    ``path``, and the dtype the header names."""
+    with open(path, "rb") as f:
+        r = _Reader(f.read())
     magic = r.take(4)
     if magic != MAGIC:
         raise DataFormatError(f"bad magic {magic!r}, expected {MAGIC!r}")
-    version, kind, dtype_code = r.unpack("<HBB")
+    version, found, dtype_code = r.unpack("<HBB")
     if version != FORMAT_VERSION:
         raise FormatVersionError(
             f"unsupported format version {version}, this reader handles "
@@ -328,9 +335,17 @@ def _read_header(r: _Reader, expect_kind: int | None = None) -> tuple[int, np.dt
         )
     if dtype_code not in _DTYPE_CODES:
         raise DataFormatError(f"unknown dtype code {dtype_code}")
-    if expect_kind is not None and kind != expect_kind:
-        raise DataFormatError(f"expected kind {expect_kind}, found {kind}")
-    return kind, _DTYPE_CODES[dtype_code]
+    if found != kind:
+        raise DataFormatError(f"expected kind {kind}, found {found}")
+    return r, _DTYPE_CODES[dtype_code]
+
+
+def _write_json(path, kind: str, fields: dict) -> None:
+    """Write the caps-json document of ``kind`` holding ``fields``."""
+    doc = {"format": "caps-json", "version": FORMAT_VERSION, "kind": kind}
+    doc.update(fields)
+    with open(path, "w") as f:
+        json.dump(doc, f)
 
 
 def write_capsules(path, batch: CapsuleBatch, labels=None) -> None:
@@ -345,28 +360,21 @@ def write_capsules(path, batch: CapsuleBatch, labels=None) -> None:
     b, n, d_cov, d_in = poses.shape
     code = _dtype_code(poses)
     le = _DTYPE_CODES[code]
-    buf = io.BytesIO()
-    buf.write(_header(_KIND_BATCH, code))
-    flags = 1 if labels is not None else 0
-    buf.write(struct.pack("<B4I", flags, b, n, d_cov, d_in))
-    buf.write(scores.astype(le).tobytes())
-    buf.write(poses.astype(le).tobytes())
+    parts = [struct.pack("<B4I", labels is not None, b, n, d_cov, d_in),
+             scores.astype(le).tobytes(), poses.astype(le).tobytes()]
     if labels is not None:
         labels = np.asarray(labels)
         if labels.shape != (b,):
             raise ShapeError(f"labels must have shape ({b},), got {labels.shape}")
-        buf.write(labels.astype("<u4").tobytes())
-    with open(path, "wb") as f:
-        f.write(buf.getvalue())
+        parts.append(labels.astype("<u4").tobytes())
+    _write_file(path, _KIND_BATCH, code, *parts)
 
 
 def read_capsules(path) -> tuple[CapsuleBatch, np.ndarray | None]:
     """Read a capsule batch; returns (batch, labels-or-None)."""
     if str(path).endswith(".json"):
         return _read_capsules_json(path)
-    with open(path, "rb") as f:
-        r = _Reader(f.read())
-    _, dtype = _read_header(r, expect_kind=_KIND_BATCH)
+    r, dtype = _read_file(path, _KIND_BATCH)
     flags, b, n, d_cov, d_in = r.unpack("<B4I")
     scores = r.floats(dtype, b * n).reshape(b, n)
     poses = r.floats(dtype, b * n * d_cov * d_in).reshape(b, n, d_cov, d_in)
@@ -375,23 +383,16 @@ def read_capsules(path) -> tuple[CapsuleBatch, np.ndarray | None]:
         raw = r.take(b * 4)
         labels = np.frombuffer(raw, dtype="<u4").astype(np.int64)
     r.done()
-    native = scores.dtype.newbyteorder("=")
-    return _stored_batch(scores.astype(native), poses.astype(native)), labels
+    return _stored_batch(scores, poses), labels
 
 
 def _write_capsules_json(path, batch, labels) -> None:
     batch = batch.batched()
-    doc = {
-        "format": "caps-json",
-        "version": FORMAT_VERSION,
-        "kind": "capsule_batch",
-        "scores": T.asarray(batch.scores).tolist(),
-        "poses": T.asarray(batch.poses).tolist(),
-    }
+    fields = {"scores": T.asarray(batch.scores).tolist(),
+              "poses": T.asarray(batch.poses).tolist()}
     if labels is not None:
-        doc["labels"] = np.asarray(labels).tolist()
-    with open(path, "w") as f:
-        json.dump(doc, f)
+        fields["labels"] = np.asarray(labels).tolist()
+    _write_json(path, "capsule_batch", fields)
 
 
 def read_json(path):
@@ -452,21 +453,45 @@ def _read_capsules_json(path):
     return batch, labels
 
 
-def _config_dims(config: RoutingConfig) -> tuple[int, int]:
-    n_in = 0 if config.n_in is None else config.n_in
-    n_out = 0 if config.n_out == "variable" else config.n_out
-    return n_in, n_out
+def _layer_meta(config: RoutingConfig) -> dict:
+    """The metadata of a stored layer, the one description of it for both
+    encodings: the JSON twin stores this dict, and a binary layer record
+    packs its values in this order, the mode as its index in MODES. A dim
+    the mode does not use is 0."""
+    return {
+        "mode": config.mode,
+        "tie_betas": config.tie_betas,
+        "dims": {"n_in": config.n_in or 0,
+                 "n_out": 0 if config.n_out == "variable" else config.n_out,
+                 "d_cov": config.d_cov, "d_in": config.d_in,
+                 "d_out": config.d_out},
+        "n_iters": config.n_iters,
+        "var_floor": config.var_floor,
+        "denom_eps": config.denom_eps,
+    }
 
 
-def _stored_config(mode: str, n_in, n_out, **knobs) -> RoutingConfig:
-    """Inverse of :func:`_config_dims`: the config a stored layer
-    describes, or DataFormatError if RoutingConfig rejects it."""
+def _stored_config(meta: dict) -> RoutingConfig:
+    """Inverse of :func:`_layer_meta`: the config ``meta`` describes, or
+    DataFormatError if a field is missing or RoutingConfig rejects it."""
     try:
-        return RoutingConfig(
-            n_out="variable" if mode == "variable_output" else n_out,
-            n_in=n_in if mode == "fixed" else None, **knobs)
+        dims = meta["dims"]
+        return mode_config(
+            meta["mode"], dims["n_in"], dims["n_out"], d_cov=dims["d_cov"],
+            d_in=dims["d_in"], d_out=dims["d_out"], n_iters=meta["n_iters"],
+            tie_betas=meta["tie_betas"], var_floor=meta["var_floor"],
+            denom_eps=meta["denom_eps"])
+    except KeyError as e:
+        raise DataFormatError(f"routing_params document has no {e}") from None
+    except TypeError:
+        raise DataFormatError("routing_params 'dims' must be an object") \
+            from None
     except ConfigError as e:
-        raise DataFormatError(f"invalid {mode} layer: {e}") from None
+        raise DataFormatError(f"invalid {meta['mode']} layer: {e}") from None
+
+
+# the key layout of _layer_meta, whose values a binary layer record holds
+_META_LAYOUT = _layer_meta(RoutingConfig(n_out=1, d_cov=1, d_in=1, d_out=1))
 
 
 def _stored_arrays(params: RoutingParams,
@@ -482,33 +507,27 @@ def _stored_arrays(params: RoutingParams,
     return arrays
 
 
-def _write_layer(buf, params: RoutingParams, config: RoutingConfig,
-                 code: int) -> None:
-    le = _DTYPE_CODES[code]
-    n_in, n_out = _config_dims(config)
-    buf.write(struct.pack(
-        "<BB5I I dd",
-        _MODES[config.mode], 1 if config.tie_betas else 0,
-        n_in, n_out, config.d_cov, config.d_in, config.d_out,
-        config.n_iters, config.var_floor, config.denom_eps,
-    ))
-    for a in _stored_arrays(params, config).values():
-        buf.write(np.ascontiguousarray(a).astype(le).tobytes())
+def _layer_record(params: RoutingParams, config: RoutingConfig,
+                  le: np.dtype) -> bytes:
+    mode, tie, dims, *knobs = _layer_meta(config).values()
+    arrays = _stored_arrays(params, config).values()
+    return b"".join([
+        struct.pack(_LAYER_RECORD, MODES.index(mode), tie, *dims.values(),
+                    *knobs),
+        *(np.ascontiguousarray(a).astype(le).tobytes() for a in arrays)])
 
 
 def _read_layer(r: _Reader, dtype: np.dtype) -> tuple[RoutingParams, RoutingConfig]:
-    mode_code, tie, n_in, n_out, d_cov, d_in, d_out, n_iters, var_floor, denom_eps = \
-        r.unpack("<BB5I I dd")
-    if mode_code not in _MODES_BACK:
-        raise DataFormatError(f"unknown sharing mode {mode_code}")
-    config = _stored_config(
-        _MODES_BACK[mode_code], n_in, n_out, d_cov=d_cov, d_in=d_in,
-        d_out=d_out, n_iters=n_iters, tie_betas=bool(tie),
-        var_floor=var_floor, denom_eps=denom_eps)
-    native = dtype.newbyteorder("=")
+    code, tie, *rest = r.unpack(_LAYER_RECORD)
+    values = iter([MODES[code] if code < len(MODES) else code, bool(tie),
+                   *rest])
+    config = _stored_config({
+        key: {dim: next(values) for dim in value}
+        if isinstance(value, dict) else next(values)
+        for key, value in _META_LAYOUT.items()})
     # math.prod: header dims are untrusted and np.prod would overflow
     params = RoutingParams.from_items(
-        (name, r.floats(dtype, math.prod(shape)).reshape(shape).astype(native))
+        (name, r.floats(dtype, math.prod(shape)).reshape(shape))
         for name, shape in learned_shapes(config).items())
     return params, config
 
@@ -518,62 +537,30 @@ def write_params(path, params: RoutingParams, config: RoutingConfig) -> None:
         _write_params_json(path, params, config)
         return
     code = _dtype_code(T.asarray(params.weights))
-    buf = io.BytesIO()
-    buf.write(_header(_KIND_PARAMS, code))
-    _write_layer(buf, params, config, code)
-    with open(path, "wb") as f:
-        f.write(buf.getvalue())
+    _write_file(path, _KIND_PARAMS, code,
+                _layer_record(params, config, _DTYPE_CODES[code]))
 
 
 def read_params(path) -> tuple[RoutingParams, RoutingConfig]:
     if str(path).endswith(".json"):
         return _read_params_json(path)
-    with open(path, "rb") as f:
-        r = _Reader(f.read())
-    _, dtype = _read_header(r, expect_kind=_KIND_PARAMS)
-    params, config = _read_layer(r, dtype)
+    r, dtype = _read_file(path, _KIND_PARAMS)
+    layer = _read_layer(r, dtype)
     r.done()
-    return params, config
+    return layer
 
 
 def _write_params_json(path, params: RoutingParams,
                        config: RoutingConfig) -> None:
-    n_in, n_out = _config_dims(config)
-    doc = {
-        "format": "caps-json",
-        "version": FORMAT_VERSION,
-        "kind": "routing_params",
-        "mode": config.mode,
-        "tie_betas": config.tie_betas,
-        "dims": {"n_in": n_in, "n_out": n_out, "d_cov": config.d_cov,
-                 "d_in": config.d_in, "d_out": config.d_out},
-        "n_iters": config.n_iters,
-        "var_floor": config.var_floor,
-        "denom_eps": config.denom_eps,
-    }
-    doc.update((name, a.tolist())
-               for name, a in _stored_arrays(params, config).items())
-    with open(path, "w") as f:
-        json.dump(doc, f)
+    fields = _layer_meta(config)
+    fields.update((name, a.tolist())
+                  for name, a in _stored_arrays(params, config).items())
+    _write_json(path, "routing_params", fields)
 
 
 def _read_params_json(path) -> tuple[RoutingParams, RoutingConfig]:
     doc = _load_caps_json(path, "routing_params")
-    mode = doc.get("mode")
-    if not isinstance(mode, str) or mode not in _MODES:
-        raise DataFormatError(f"unknown sharing mode {mode!r}")
-    try:
-        dims = doc["dims"]
-        config = _stored_config(
-            mode, dims["n_in"], dims["n_out"], d_cov=dims["d_cov"],
-            d_in=dims["d_in"], d_out=dims["d_out"], n_iters=doc["n_iters"],
-            tie_betas=doc["tie_betas"], var_floor=doc["var_floor"],
-            denom_eps=doc["denom_eps"])
-    except KeyError as e:
-        raise DataFormatError(f"routing_params document has no {e}") from None
-    except TypeError:
-        raise DataFormatError("routing_params 'dims' must be an object") \
-            from None
+    config = _stored_config(doc)
     params = RoutingParams.from_items(
         (name, _json_array(doc, name, shape))
         for name, shape in learned_shapes(config).items())
@@ -603,19 +590,14 @@ def write_model(path, layers, n_classes: int) -> None:
     ShapeError if they do not route into ``n_classes`` outputs."""
     _check_stack(layers, n_classes, ShapeError)
     code = _dtype_code(T.asarray(layers[0][0].weights))
-    buf = io.BytesIO()
-    buf.write(_header(_KIND_MODEL, code))
-    buf.write(struct.pack("<II", len(layers), n_classes))
-    for params, config in layers:
-        _write_layer(buf, params, config, code)
-    with open(path, "wb") as f:
-        f.write(buf.getvalue())
+    _write_file(path, _KIND_MODEL, code,
+                struct.pack("<II", len(layers), n_classes),
+                *(_layer_record(params, config, _DTYPE_CODES[code])
+                  for params, config in layers))
 
 
 def read_model(path) -> tuple[list[tuple[RoutingParams, RoutingConfig]], int]:
-    with open(path, "rb") as f:
-        r = _Reader(f.read())
-    _, dtype = _read_header(r, expect_kind=_KIND_MODEL)
+    r, dtype = _read_file(path, _KIND_MODEL)
     n_layers, n_classes = r.unpack("<II")
     layers = [_read_layer(r, dtype) for _ in range(n_layers)]
     r.done()

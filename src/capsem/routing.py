@@ -22,6 +22,9 @@ Three parameter-sharing modes exist:
   variable_output n_in and n_out unknown; one weight matrix shared across
                   all pairs, symmetry broken by a caller-supplied per-output
                   bias (no learned per-output parameters exist).
+
+``mode_config`` is the one mapping from a mode name and dims to a
+RoutingConfig; the file container and the CLI build their configs with it.
 """
 
 from __future__ import annotations
@@ -103,6 +106,19 @@ class RoutingConfig:
         if self.n_out == "variable":
             return "variable_output"
         return "fixed" if self.n_in is not None else "variable_input"
+
+
+MODES = ("fixed", "variable_input", "variable_output")
+
+
+def mode_config(mode: str, n_in, n_out, **fields) -> RoutingConfig:
+    """The config of a ``mode`` layer: ``n_in`` is read only in fixed mode,
+    ``n_out`` in every mode but variable_output."""
+    if mode not in MODES:
+        raise ConfigError(f"unknown sharing mode {mode!r}")
+    return RoutingConfig(
+        n_out="variable" if mode == "variable_output" else n_out,
+        n_in=n_in if mode == "fixed" else None, **fields)
 
 
 @dataclass
@@ -306,15 +322,12 @@ def compute_votes(params: RoutingParams, caps: CapsuleBatch,
             f"poses have d_cov={c}, d_in={d}; config expects "
             f"d_cov={config.d_cov}, d_in={config.d_in}"
         )
+    if config.n_in not in (None, n):
+        raise ShapeError(f"expected n_in={config.n_in} capsules, found {n}")
     weights = T.as_tensor(params.weights)
-    mode = config.mode
-    if mode == "fixed":
-        if n != config.n_in:
-            raise ShapeError(f"expected n_in={config.n_in} capsules, found {n}")
-        votes = T.contract(poses, weights, "bicd,ijdh->bijch")
-        return T.add(votes, T.as_tensor(params.biases))
-    if mode == "variable_input":
-        votes = T.contract(poses, weights, "bicd,jdh->bijch")
+    if config.mode != "variable_output":
+        pair = "ij" if config.mode == "fixed" else "j"
+        votes = T.contract(poses, weights, f"bicd,{pair}dh->bijch")
         return T.add(votes, T.as_tensor(params.biases))
     if out_bias is None:
         raise ConfigError(

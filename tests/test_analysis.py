@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -97,10 +98,15 @@ def test_csv_round_trip(tmp_path):
     m = A.pose_trajectory_metrics(rng.normal(size=(4, 3, 5)))
     path = tmp_path / "metrics.csv"
     A.write_pose_metrics_csv(path, m)
-    back = A.read_pose_metrics_csv(path)
-    np.testing.assert_array_equal(back.rel_dist, m.rel_dist)
-    np.testing.assert_array_equal(back.norm_ratio, m.norm_ratio)
-    np.testing.assert_array_equal(back.cosine, m.cosine)
+    with open(path, newline="") as f:
+        rows = list(csv.DictReader(f))
+    assert [int(row["step"]) for row in rows] == [0, 1, 2, 3]
+    assert all(len(row) == 1 + 3 * 3 for row in rows)  # 3 pose vectors
+    for name in ("rel_dist", "norm_ratio", "cosine"):
+        values = getattr(m, name)
+        for t, row in enumerate(rows):
+            for c in range(values.shape[1]):
+                assert float(row[f"{name}_{c}"]) == values[t, c]
     header = path.read_text().splitlines()[0].split(",")
     assert header[0] == "step"
     assert "rel_dist_0" in header

@@ -181,9 +181,11 @@ def test_train_threads_match_single_thread_epoch0(tmp_path, capsys):
 
 @pytest.mark.parametrize("case,message", [
     ("empty_train", "holds no samples"),
+    ("empty_val", "v.caps holds no samples"),
     ("val_label_too_large", "but the training labels name"),
     ("negative_json_label", "non-negative integers"),
-], ids=["empty_train", "val_label_too_large", "negative_json_label"])
+], ids=["empty_train", "empty_val", "val_label_too_large",
+        "negative_json_label"])
 def test_train_capsfile_rejects_bad_labels(tmp_path, capsys, case, message):
     from capsem.data import ConstellationSpec, make_dataset, write_capsules
     spec = ConstellationSpec()
@@ -196,7 +198,8 @@ def test_train_capsfile_rejects_bad_labels(tmp_path, capsys, case, message):
         doc["labels"][0] = -1
         train.write_text(json.dumps(doc))
     val = tmp_path / "v.caps"
-    batch, labels = make_dataset(spec, 4, start=10)
+    batch, labels = make_dataset(spec, 0 if case == "empty_val" else 4,
+                                 start=10)
     write_capsules(val, batch, labels + 5 * (case == "val_label_too_large"))
     config = tmp_path / "c.json"
     config.write_text(json.dumps(
@@ -354,6 +357,19 @@ def test_bench_csv_schema(tmp_path, capsys):
 def test_bench_rejects_unknown_grid_key(tmp_path):
     assert main(["bench", "--grid", "bogus=1", "--csv",
                  str(tmp_path / "b.csv")]) == 2
+
+
+def test_bench_rejects_unknown_variant_before_timing(tmp_path, capsys,
+                                                     monkeypatch):
+    def no_timing(*args, **kwargs):
+        raise AssertionError("bench timed a row before checking the grid")
+
+    monkeypatch.setattr("capsem.cli.route", no_timing)
+    out = tmp_path / "b.csv"
+    assert main(["bench", "--grid", "n_in=2;n_out=2;variant=fixed,bogus",
+                 "--reps", "1", "--csv", str(out)]) == 2
+    assert "'bogus'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv,bad", [

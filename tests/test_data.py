@@ -294,6 +294,7 @@ def test_params_json_round_trip(tmp_path):
     (lambda doc: doc.update(dims=[4, 3]), "object"),
     (lambda doc: doc["dims"].update(d_cov=0), "d_cov"),
     (lambda doc: doc.update(mode=["fixed"]), "sharing mode"),
+    (lambda doc: doc.update(mode="bogus"), "sharing mode"),
     (lambda doc: doc.update(n_iters=1.5), "n_iters must be an int"),
     (lambda doc: doc.update(tie_betas="no"), "tie_betas"),
     (lambda doc: doc.update(var_floor=float("nan")), "var_floor"),
@@ -320,11 +321,12 @@ def test_layer_record_with_rejected_dims_is_a_format_error(tmp_path, reader):
         D.write_model(path, [(init_params(cfg, seed=0), cfg)], n_classes=3)
     written = path.read_bytes()
     # the layer record follows the 8-byte header (and a model's 8-byte
-    # layer count and class count); d_cov is its third u32 after 2 bytes,
-    # var_floor the f64 after its six u32
+    # layer count and class count); its first byte is the mode, d_cov its
+    # third u32 after 2 bytes, var_floor the f64 after its six u32
     record = 8 + (8 if reader == "model" else 0)
     read = D.read_params if reader == "params" else D.read_model
-    for offset, value, name in ((2 + 2 * 4, struct.pack("<I", 0), "d_cov"),
+    for offset, value, name in ((0, struct.pack("<B", 3), "sharing mode"),
+                                (2 + 2 * 4, struct.pack("<I", 0), "d_cov"),
                                 (2 + 6 * 4, struct.pack("<d", np.nan),
                                  "var_floor")):
         blob = bytearray(written)

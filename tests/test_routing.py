@@ -620,6 +620,26 @@ def test_config_rejects_bad_dims():
             RoutingConfig(**{**base, **bad})
 
 
+@pytest.mark.parametrize("tie", [False, True])
+@pytest.mark.parametrize("mode", R.MODES)
+def test_mode_config_rebuilds_each_mode(mode, tie):
+    cfg = random_config(np.random.default_rng(3), mode=mode, tie=tie)
+    # a dim the mode does not use is ignored, as a stored 0 is
+    n_in = cfg.n_in or 7
+    n_out = 5 if cfg.n_out == "variable" else cfg.n_out
+    rebuilt = R.mode_config(cfg.mode, n_in, n_out, d_cov=cfg.d_cov,
+                            d_in=cfg.d_in, d_out=cfg.d_out,
+                            n_iters=cfg.n_iters, tie_betas=cfg.tie_betas,
+                            var_floor=cfg.var_floor, denom_eps=cfg.denom_eps)
+    assert rebuilt == cfg
+    assert rebuilt.mode == mode
+
+
+def test_mode_config_rejects_unknown_mode():
+    with pytest.raises(ConfigError, match="'bogus'"):
+        R.mode_config("bogus", 3, 2, d_cov=1, d_in=2, d_out=2)
+
+
 def test_caps_batch_validates_shapes():
     with pytest.raises(ShapeError):
         CapsuleBatch(np.zeros((2, 3)), np.zeros((2, 4, 1, 1)))
