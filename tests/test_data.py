@@ -294,7 +294,7 @@ def test_params_json_round_trip(tmp_path):
     (lambda doc: doc.update(dims=[4, 3]), "object"),
     (lambda doc: doc["dims"].update(d_cov=0), "d_cov"),
     (lambda doc: doc.update(mode=["fixed"]), "sharing mode"),
-    (lambda doc: doc.update(mode="bogus"), "sharing mode"),
+    (lambda doc: doc.update(mode="bogus"), "unknown sharing mode"),
     (lambda doc: doc.update(n_iters=1.5), "n_iters must be an int"),
     (lambda doc: doc.update(tie_betas="no"), "tie_betas"),
     (lambda doc: doc.update(var_floor=float("nan")), "var_floor"),
