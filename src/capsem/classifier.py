@@ -14,7 +14,6 @@ share one Beta-distributed weight per batch).
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,7 +51,7 @@ class CapsuleClassifier:
         return T.softmax(T.tensor(scores), axis=1).data
 
     def param_dict(self) -> dict[str, np.ndarray]:
-        """Flat name -> array view of every learnable parameter."""
+        """Flat name -> array view (or tracked tensor) of every parameter."""
         return {f"layer{k}.{name}": value
                 for k, (params, _) in enumerate(self.layers)
                 for name, value in params.items()}
@@ -104,6 +103,10 @@ class TrainRegime:
     of thousands of steps and move parameters far too little in the few
     hundred steps a desk run takes. The cycle shape, warmup fraction,
     and momentum endpoints are unchanged.
+
+    ``threads`` accepts only 1: every batch runs on one tape. The field
+    stays only because the benchmark harness passes ``threads=1``; it
+    goes when the benchmark drops that argument.
     """
 
     epochs: int = 5
@@ -119,10 +122,11 @@ class TrainRegime:
     threads: int = 1
 
     def __post_init__(self):
-        for name, least in (("epochs", 1), ("batch_size", 1), ("seed", 0),
-                            ("threads", 1)):
+        for name, least in (("epochs", 1), ("batch_size", 1), ("seed", 0)):
             if not is_count(getattr(self, name), least):
                 raise ConfigError(f"{name} must be an int >= {least}")
+        if not is_count(self.threads) or self.threads != 1:
+            raise ConfigError("threads must be 1")
         for name in ("lr_start", "lr_peak", "beta1_start", "beta1_peak",
                      "warm_frac"):
             if not is_finite_number(getattr(self, name)):
@@ -158,47 +162,22 @@ def _mix_batch(scores, poses, targets, lam: float, rng) -> tuple:
     return mask_to_logits(mixed_probs), mixed_poses, mixed_targets
 
 
-def _batch_gradients(model: CapsuleClassifier, scores, poses, targets,
-                     threads: int = 1):
-    """Loss and summed parameter gradients for one (possibly mixed) batch.
-
-    With ``threads > 1`` the batch is split into contiguous shards, each
-    differentiated on its own tape, and the per-shard gradients are
-    combined in shard order, so results are run-to-run deterministic.
-    """
-    n = len(scores)
-    shards = min(threads, n) if threads > 1 else 1
-    bounds = np.linspace(0, n, shards + 1, dtype=int)
-
-    def run_shard(lo, hi):
-        tape = T.Tape()
-        tracked = [(params.tracked(tape), cfg) for params, cfg in model.layers]
-        caps = CapsuleBatch(scores[lo:hi], poses[lo:hi])
-        outs = CapsuleClassifier(tracked, model.n_classes).forward(caps)
-        loss = cross_entropy(outs[-1].scores, targets[lo:hi])
-        grads = T.backward(tape, loss)
-        named = {f"layer{k}.{name}": grads.get(value.node)
-                 for k, (tp, _) in enumerate(tracked)
-                 for name, value in tp.items()}
-        return loss.item(), named, hi - lo
-
-    if shards == 1:
-        loss, named, _ = run_shard(0, n)
-        return loss, {k: (np.zeros_like(model.param_dict()[k]) if g is None
-                          else g) for k, g in named.items()}
-
-    with ThreadPoolExecutor(max_workers=shards) as pool:
-        results = list(pool.map(lambda lohi: run_shard(*lohi),
-                                zip(bounds[:-1], bounds[1:])))
-    total = {k: np.zeros_like(v) for k, v in model.param_dict().items()}
-    loss_acc = 0.0
-    for shard_loss, named, count in results:  # fixed shard order
-        w = count / n
-        loss_acc += w * shard_loss
-        for k, g in named.items():
-            if g is not None:
-                total[k] += w * g
-    return loss_acc, total
+def _batch_gradients(model: CapsuleClassifier, scores, poses, targets):
+    """Loss and parameter gradients for one (possibly mixed) batch,
+    differentiated on one tape."""
+    tape = T.Tape()
+    tracked = CapsuleClassifier(
+        [(params.tracked(tape), cfg) for params, cfg in model.layers],
+        model.n_classes)
+    out = tracked.forward(CapsuleBatch(scores, poses))[-1]
+    loss = cross_entropy(out.scores, targets)
+    grads = T.backward(tape, loss)
+    named = {}
+    for name, value in tracked.param_dict().items():
+        grad = grads.get(value.node)
+        # a parameter off the loss path gets a zero gradient
+        named[name] = np.zeros_like(value.data) if grad is None else grad
+    return loss.item(), named
 
 
 def evaluate(model: CapsuleClassifier, caps: CapsuleBatch,
@@ -267,8 +246,7 @@ def train_classifier(model: CapsuleClassifier, train_caps: CapsuleBatch,
             if regime.mixup:
                 lam = draw_mix_weight(rng, regime.mixup_alpha)
                 bs, bp, bt = _mix_batch(bs, bp, bt, lam, rng)
-            loss, grads = _batch_gradients(model, bs, bp, bt,
-                                           threads=regime.threads)
+            loss, grads = _batch_gradients(model, bs, bp, bt)
             if not np.isfinite(loss):
                 raise DomainError(f"training loss became non-finite "
                                   f"at step {step}")

@@ -86,6 +86,7 @@ def test_gen_data_mistyped_spec_exits_2(tmp_path, capsys, doc):
     ("train", "mixup_alpha", [0.2]),
     ("train", "warm_frac", 1.5),
     ("train", "train_samples", "100"),
+    ("train", "threads", 2),
 ])
 def test_train_mistyped_config_exits_2(tmp_path, capsys, section, key, value):
     config = tmp_path / "c.json"
@@ -162,21 +163,10 @@ def test_train_nonfinite_loss_exits_3(tmp_path):
                  "--seed", "0", "--config", str(config)]) == 3
 
 
-def test_train_threads_match_single_thread_epoch0(tmp_path, capsys):
-    config = tmp_path / "c.json"
-    config.write_text(json.dumps(
-        {"train": {"train_samples": 100, "test_samples": 40}}))
-
-    def first_epochs(threads):
-        assert main(["train", "--out", str(tmp_path / "m.model"),
-                     "--epochs", "1", "--seed", "5", "--config", str(config),
-                     "--threads", str(threads)]) == 0
-        out = capsys.readouterr().out.splitlines()
-        return [l for l in out if l and l[0].isdigit()]
-
-    a = first_epochs(2)
-    b = first_epochs(2)
-    assert a == b  # deterministic under threading
+def test_train_threads_flag_is_a_usage_error(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--out", str(tmp_path / "m.model"), "--threads", "2"])
+    assert exc.value.code == 1
 
 
 @pytest.mark.parametrize("case,message", [
@@ -339,6 +329,28 @@ def test_gradcheck_passes_at_default_tolerance(capsys):
 
 def test_gradcheck_fails_with_absurd_tolerance(capsys):
     assert main(["gradcheck", "--seed", "0", "--tol", "1e-18"]) == 3
+
+
+def test_gradcheck_fails_on_nan_error(monkeypatch, capsys):
+    from capsem import cli
+    real_grad_check = cli.grad_check
+    calls = []
+
+    def nan_on_first_call(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 1:
+            return float("nan")
+        return real_grad_check(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "grad_check", nan_on_first_call)
+    assert main(["gradcheck", "--seed", "0", "--tol", "1e-4"]) == 3
+    assert "nan" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+def test_gradcheck_rejects_bad_tolerance(capsys, tol):
+    assert main(["gradcheck", "--tol", tol]) == 2
+    assert capsys.readouterr().err.startswith("error: --tol")
 
 
 def test_bench_csv_schema(tmp_path, capsys):
