@@ -127,6 +127,9 @@ def channel_embedding(table, channels) -> Tensor:
     """
     table = T.as_tensor(table)
     ids = np.asarray(channels)
+    if ids.dtype.kind not in "iu":
+        raise ShapeError(
+            f"channel ids must be integers, got dtype {ids.dtype}")
     if ids.ndim == 0:
         ids = ids[None]
     n_tags = table.shape[0]

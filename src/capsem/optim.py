@@ -84,10 +84,23 @@ class RAdam:
 
     def step(self, grads: dict[str, np.ndarray], lr: float,
              beta1: float) -> None:
-        """One in-place update of every parameter from its gradient."""
+        """One in-place update of every parameter from its gradient.
+
+        Every gradient is checked before anything changes, so a step that
+        raises leaves the parameters, both moments and ``t`` as they were.
+        """
         missing = set(self.params) - set(grads)
         if missing:
             raise ShapeError(f"missing gradients for {sorted(missing)}")
+        grads = {name: np.asarray(grads[name]) for name in sorted(self.params)}
+        for name, g in grads.items():
+            if g.shape != self.params[name].shape:
+                raise ShapeError(
+                    f"gradient for {name!r} has shape {g.shape}, expected "
+                    f"{self.params[name].shape}"
+                )
+            if not np.all(np.isfinite(g)):
+                raise DomainError(f"non-finite gradient for {name!r}")
         self.t += 1
         t = self.t
         rho = self.rho_t(t)
@@ -99,15 +112,7 @@ class RAdam:
         bias1 = 1.0 - beta1 ** t
         bias2 = 1.0 - self.beta2 ** t
 
-        for name in sorted(self.params):
-            g = np.asarray(grads[name])
-            if g.shape != self.params[name].shape:
-                raise ShapeError(
-                    f"gradient for {name!r} has shape {g.shape}, expected "
-                    f"{self.params[name].shape}"
-                )
-            if not np.all(np.isfinite(g)):
-                raise DomainError(f"non-finite gradient for {name!r}")
+        for name, g in grads.items():
             m = self.m[name]
             v = self.v[name]
             m *= beta1

@@ -12,8 +12,13 @@ are computed once per call; the loop then alternates three phases:
   M-step  refit each output's score, mean, and variance from the
           shares it uses.
 
-All phases are built from tape ops, so gradients flow through every
-iteration of the loop.
+Every phase records tape ops, so gradients flow through every iteration
+of the loop. The E-step's Gaussian log-density and the M-step's weighted
+mean and variance are fused ops built on :func:`capsem.tensor.record`:
+each computes its formula in numpy and records one tape node with a
+closed-form VJP, where a composition of generic ops would record, and
+keep a 5-D (batch, n_in, n_out, d_cov, d_out) temporary for, each
+elementwise step.
 
 Three parameter-sharing modes exist:
 
@@ -346,16 +351,33 @@ def compute_votes(params: RoutingParams, caps: CapsuleBatch,
 
 def _log_density(votes: Tensor, state: RoutingOutput) -> Tensor:
     """Log of each output's Gaussian density at each input's votes,
-    summed over the d_cov x d_out components: shape (batch, n_in, n_out)."""
-    b, i, j, c, h = votes.shape
-    mu = T.reshape(state.poses, (b, 1, j, c, h))
-    var = T.reshape(state.variances, (b, 1, j, c, h))
-    diff = T.sub(votes, mu)
-    per_component = T.sub(
-        T.mul(-0.5, T.log(T.mul(_TWO_PI, var))),
-        T.div(T.square(diff), T.mul(2.0, var)),
-    )
-    return T.reduce_sum(per_component, axes=(3, 4))
+    summed over the d_cov x d_out components: shape (batch, n_in, n_out).
+
+    One tape node over the votes, means and variances. With d = v - mu,
+    the VJPs of an output gradient g are dv = -g d / var,
+    dmu = -sum_i dv and dvar = (sum_i g d^2 / var - sum_i g) / (2 var).
+    The backward recomputes d instead of keeping it, and the quadratic
+    stays in the (v - mu)^2 form, which does not cancel.
+    """
+    v, mu, var = votes.data, state.poses.data, state.variances.data
+    sq = v - mu[:, None]
+    sq *= sq
+    log_norm = np.log(_TWO_PI * var).sum(axis=(2, 3))
+    quad = np.einsum("bijch,bjch->bij", sq, 0.5 / var)
+    out = -0.5 * log_norm[:, None] - quad
+
+    def vjp(g):
+        d = v - mu[:, None]
+        g_d = d / var[:, None]
+        g_d *= g[..., None, None]
+        d *= g_d
+        g_var = d.sum(axis=1)
+        g_var -= g.sum(axis=1)[..., None, None]
+        g_var *= 0.5 / var
+        np.negative(g_d, out=g_d)
+        return g_d, -g_d.sum(axis=1), g_var
+
+    return T.record(out, (votes, state.poses, state.variances), vjp)
 
 
 def _assignment_probs(log_dens: Tensor, out_scores: Tensor) -> Tensor:
@@ -397,6 +419,48 @@ def d_step(in_scores, probs: Tensor) -> tuple[Tensor, Tensor]:
     return used, ignored
 
 
+def _weighted_mean(used: Tensor, votes: Tensor, denom: Tensor) -> Tensor:
+    """sum_i u_ij v_ij / denom_j, shape (batch, n_out, d_cov, d_out), as one
+    tape node; with G = g / denom its VJPs are du = sum_ch G v,
+    dv = u G and ddenom = -sum_ch G mu."""
+    u, v, dn = used.data, votes.data, denom.data[..., None, None]
+    out = np.einsum("bij,bijch->bjch", u, v) / dn
+
+    def vjp(g):
+        g = g / dn
+        return (np.einsum("bijch,bjch->bij", v, g),
+                u[..., None, None] * g[:, None],
+                -np.einsum("bjch,bjch->bj", g, out))
+
+    return T.record(out, (used, votes, denom), vjp)
+
+
+def _weighted_variance(used: Tensor, votes: Tensor, mean: Tensor,
+                       denom: Tensor, floor: float) -> Tensor:
+    """sum_i u_ij (v_ij - mu_j)^2 / denom_j + floor as one tape node.
+
+    With d = v - mu, G = g / denom and s the result less the floor, the
+    VJPs are du = sum_ch G d^2, dv = 2 u G d, dmu = -sum_i dv and
+    ddenom = -sum_ch G s. The backward recomputes d instead of keeping it.
+    """
+    u, v, mu = used.data, votes.data, mean.data
+    dn = denom.data[..., None, None]
+    sq = v - mu[:, None]
+    sq *= sq
+    spread = np.einsum("bij,bijch->bjch", u, sq) / dn
+
+    def vjp(g):
+        g = g / dn
+        d = v - mu[:, None]
+        g_v = d * g[:, None]
+        g_u = np.einsum("bijch,bijch->bij", g_v, d)
+        g_v *= 2.0 * u[..., None, None]
+        return (g_u, g_v, -g_v.sum(axis=1),
+                -np.einsum("bjch,bjch->bj", g, spread))
+
+    return T.record(spread + floor, (used, votes, mean, denom), vjp)
+
+
 def m_step(votes: Tensor, used: Tensor, ignored: Tensor,
            params: RoutingParams, config: RoutingConfig) -> RoutingOutput:
     """Refit output scores and Gaussian models from the used shares.
@@ -405,20 +469,15 @@ def m_step(votes: Tensor, used: Tensor, ignored: Tensor,
     ignored share with beta_ign, summed over inputs. Means and variances
     are the used-share-weighted moments of the votes.
     """
-    b, i, j, c, h = votes.shape
     beta_use = T.as_tensor(params.beta_use)
     beta_ign = T.as_tensor(params.beta_ign)
     contrib = T.sub(T.mul(used, beta_use), T.mul(ignored, beta_ign))
     scores = T.reduce_sum(contrib, axes=1)
 
     denom = T.add(T.reduce_sum(used, axes=1), config.denom_eps)
-    denom4 = T.reshape(denom, (b, j, 1, 1))
-    poses = T.div(T.contract(used, votes, "bij,bijch->bjch"), denom4)
-    diff = T.sub(votes, T.reshape(poses, (b, 1, j, c, h)))
-    variances = T.add(
-        T.div(T.contract(used, T.square(diff), "bij,bijch->bjch"), denom4),
-        config.var_floor,
-    )
+    poses = _weighted_mean(used, votes, denom)
+    variances = _weighted_variance(used, votes, poses, denom,
+                                   config.var_floor)
     return RoutingOutput(scores, poses, variances)
 
 

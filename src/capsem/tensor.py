@@ -1,12 +1,16 @@
 """Dense real arrays with broadcasting, two-operand index contraction,
 reductions, and reverse-mode differentiation on an explicit tape.
 
-The op set is deliberately closed: elementwise {add, sub, mul, div, neg,
-exp, log, square, logistic, softplus, swish}, two-operand ``contract``,
-reductions {sum, max, mean, logsumexp}, ``softmax``, and ``reshape``.
-Everything differentiable in this package is built from these. Ops are
-called as functions, ``add(a, b)`` and not ``a + b``: a :class:`Tensor`
-defines no arithmetic operators.
+The generic ops are elementwise {add, sub, mul, div, neg, exp, log,
+square, logistic, softplus, swish}, two-operand ``contract``, reductions
+{sum, max, mean, logsumexp}, ``softmax``, and ``reshape``. The set is
+open: :func:`record` is the one extension point. Every op, here or in
+another module, computes its result with numpy and records one tape node
+with its own vector-Jacobian product; a fused op, such as the routing
+E-step's log-density, records one node where its composition from
+generic ops would record many. Ops are called as functions,
+``add(a, b)`` and not ``a + b``: a :class:`Tensor` defines no arithmetic
+operators.
 
 A contraction signature names each index in the output or on both
 operands, and a shared index has equal extents on both; ``contract``
@@ -143,8 +147,16 @@ def _result_tape(srcs: Sequence[Tensor]) -> Tape | None:
     return tape
 
 
-def _record(out_data: np.ndarray, srcs: Sequence[Tensor],
-            vjp: Callable | None) -> Tensor:
+def record(out_data: np.ndarray, srcs: Sequence[Tensor],
+           vjp: Callable | None) -> Tensor:
+    """Wrap ``out_data``, an op's result computed from ``srcs``, and
+    record it on the operands' tape if any of them is tracked.
+
+    ``vjp(g)`` maps the output gradient ``g`` (shaped like ``out_data``)
+    to one gradient per source, in ``srcs`` order; None marks a source
+    that gets no gradient. Every op here is built on this, and so is any
+    fused op defined outside this module.
+    """
     tape = _result_tape(srcs)
     if tape is None:
         return Tensor(out_data)
@@ -218,25 +230,25 @@ def add(a, b) -> Tensor:
     a, b = _coerce_pair(a, b)
     _check_broadcast(a, b)
     ash, bsh = a.shape, b.shape
-    return _record(a.data + b.data, (a, b),
-                   lambda g: (_unbroadcast(g, ash), _unbroadcast(g, bsh)))
+    return record(a.data + b.data, (a, b),
+                  lambda g: (_unbroadcast(g, ash), _unbroadcast(g, bsh)))
 
 
 def sub(a, b) -> Tensor:
     a, b = _coerce_pair(a, b)
     _check_broadcast(a, b)
     ash, bsh = a.shape, b.shape
-    return _record(a.data - b.data, (a, b),
-                   lambda g: (_unbroadcast(g, ash), _unbroadcast(-g, bsh)))
+    return record(a.data - b.data, (a, b),
+                  lambda g: (_unbroadcast(g, ash), _unbroadcast(-g, bsh)))
 
 
 def mul(a, b) -> Tensor:
     a, b = _coerce_pair(a, b)
     _check_broadcast(a, b)
     ad, bd = a.data, b.data
-    return _record(ad * bd, (a, b),
-                   lambda g: (_unbroadcast(g * bd, ad.shape),
-                              _unbroadcast(g * ad, bd.shape)))
+    return record(ad * bd, (a, b),
+                  lambda g: (_unbroadcast(g * bd, ad.shape),
+                             _unbroadcast(g * ad, bd.shape)))
 
 
 def div(a, b) -> Tensor:
@@ -246,20 +258,20 @@ def div(a, b) -> Tensor:
         raise DomainError("division by zero")
     ad, bd = a.data, b.data
     out = ad / bd
-    return _record(out, (a, b),
-                   lambda g: (_unbroadcast(g / bd, ad.shape),
-                              _unbroadcast(-g * out / bd, bd.shape)))
+    return record(out, (a, b),
+                  lambda g: (_unbroadcast(g / bd, ad.shape),
+                             _unbroadcast(-g * out / bd, bd.shape)))
 
 
 def neg(a) -> Tensor:
     a = as_tensor(a)
-    return _record(-a.data, (a,), lambda g: (-g,))
+    return record(-a.data, (a,), lambda g: (-g,))
 
 
 def exp(a) -> Tensor:
     a = as_tensor(a)
     out = np.exp(a.data)
-    return _record(out, (a,), lambda g: (g * out,))
+    return record(out, (a,), lambda g: (g * out,))
 
 
 def log(a) -> Tensor:
@@ -267,19 +279,19 @@ def log(a) -> Tensor:
     if np.any(a.data <= 0):
         raise DomainError("log of a non-positive value")
     ad = a.data
-    return _record(np.log(ad), (a,), lambda g: (g / ad,))
+    return record(np.log(ad), (a,), lambda g: (g / ad,))
 
 
 def square(a) -> Tensor:
     a = as_tensor(a)
     ad = a.data
-    return _record(ad * ad, (a,), lambda g: (2.0 * ad * g,))
+    return record(ad * ad, (a,), lambda g: (2.0 * ad * g,))
 
 
 def logistic(a) -> Tensor:
     a = as_tensor(a)
     out = expit(a.data)
-    return _record(out, (a,), lambda g: (g * out * (1.0 - out),))
+    return record(out, (a,), lambda g: (g * out * (1.0 - out),))
 
 
 def softplus(a) -> Tensor:
@@ -287,7 +299,7 @@ def softplus(a) -> Tensor:
     a = as_tensor(a)
     ad = a.data
     out = np.logaddexp(np.zeros((), dtype=ad.dtype), ad)
-    return _record(out, (a,), lambda g: (g * expit(ad),))
+    return record(out, (a,), lambda g: (g * expit(ad),))
 
 
 def swish(a) -> Tensor:
@@ -295,8 +307,8 @@ def swish(a) -> Tensor:
     a = as_tensor(a)
     ad = a.data
     s = expit(ad)
-    return _record(ad * s, (a,),
-                   lambda g: (g * (s + ad * s * (1.0 - s)),))
+    return record(ad * s, (a,),
+                  lambda g: (g * (s + ad * s * (1.0 - s)),))
 
 
 # ---------------------------------------------------------------------------
@@ -389,9 +401,9 @@ def contract(a, b, spec: str) -> Tensor:
             raise ShapeError(f"shared index '{name}' has extents {m} and {n}")
 
     ad, bd = a.data, b.data
-    return _record(_product(ad, a_spec, bd, b_spec, out), (a, b),
-                   lambda g: (_product(g, out, bd, b_spec, a_spec),
-                              _product(g, out, ad, a_spec, b_spec)))
+    return record(_product(ad, a_spec, bd, b_spec, out), (a, b),
+                  lambda g: (_product(g, out, bd, b_spec, a_spec),
+                             _product(g, out, ad, a_spec, b_spec)))
 
 
 # ---------------------------------------------------------------------------
@@ -426,8 +438,8 @@ def reduce_sum(a, axes=None, keepdims: bool = False) -> Tensor:
     ax = _norm_axes(axes, a.ndim)
     shape = a.shape
     out = np.sum(a.data, axis=ax, keepdims=keepdims)
-    return _record(out, (a,),
-                   lambda g: (_expand_reduced(g, shape, ax, keepdims).copy(),))
+    return record(out, (a,),
+                  lambda g: (_expand_reduced(g, shape, ax, keepdims).copy(),))
 
 
 def reduce_mean(a, axes=None, keepdims: bool = False) -> Tensor:
@@ -436,7 +448,7 @@ def reduce_mean(a, axes=None, keepdims: bool = False) -> Tensor:
     shape = a.shape
     count = int(np.prod([shape[i] for i in ax])) if ax else 1
     out = np.mean(a.data, axis=ax, keepdims=keepdims)
-    return _record(
+    return record(
         out, (a,),
         lambda g: (_expand_reduced(g, shape, ax, keepdims) / count,))
 
@@ -454,7 +466,7 @@ def reduce_max(a, axes=None, keepdims: bool = False) -> Tensor:
         mask /= mask.sum(axis=ax, keepdims=True)
         return (mask * _expand_reduced(g, ad.shape, ax, keepdims),)
 
-    return _record(out, (a,), vjp)
+    return record(out, (a,), vjp)
 
 
 def logsumexp(a, axes=None, keepdims: bool = False) -> Tensor:
@@ -470,7 +482,7 @@ def logsumexp(a, axes=None, keepdims: bool = False) -> Tensor:
         w = np.exp(ad - kept)
         return (w * _expand_reduced(g, ad.shape, ax, keepdims),)
 
-    return _record(out, (a,), vjp)
+    return record(out, (a,), vjp)
 
 
 def softmax(a, axis: int = -1) -> Tensor:
@@ -492,7 +504,7 @@ def reshape(a, shape) -> Tensor:
     except ValueError:
         raise ShapeError(f"cannot reshape {a.shape} into {shape}") from None
     old = a.shape
-    return _record(out, (a,), lambda g: (np.reshape(g, old),))
+    return record(out, (a,), lambda g: (np.reshape(g, old),))
 
 
 # ---------------------------------------------------------------------------

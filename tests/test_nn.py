@@ -242,6 +242,9 @@ def test_channel_embedding_selects_rows():
     table = np.arange(12.0).reshape(4, 3)
     out = nn.channel_embedding(T.tensor(table), np.array([2, 0, 2]))
     np.testing.assert_array_equal(out.data, table[[2, 0, 2]])
+    for bad in ([4], [-1], [1.5], [2.0], [True, False], np.array([1], bool)):
+        with pytest.raises(ShapeError, match="channel ids"):
+            nn.channel_embedding(T.tensor(table), bad)
 
 
 def test_channel_embedding_zero_init_and_gradient():

@@ -137,3 +137,21 @@ def test_rejects_shape_mismatch_and_nonfinite():
         opt.step({"w": np.array([1.0, np.nan])}, lr=1e-3, beta1=0.9)
     with pytest.raises(ShapeError):
         opt.step({}, lr=1e-3, beta1=0.9)
+
+
+def test_failed_step_changes_nothing():
+    from capsem.errors import DomainError, ShapeError
+    opt = RAdam({"a": np.zeros(2), "b": np.zeros(3)})
+    opt.step({"a": np.ones(2), "b": np.ones(3)}, lr=1e-1, beta1=0.9)
+    before = ({k: p.copy() for k, p in opt.params.items()},
+              {k: m.copy() for k, m in opt.m.items()},
+              {k: v.copy() for k, v in opt.v.items()}, opt.t)
+    bad_b = ((DomainError, np.array([1.0, np.nan, 0.0])),
+             (ShapeError, np.zeros(4)))
+    for error, gb in bad_b:
+        with pytest.raises(error, match="'b'"):
+            opt.step({"a": np.ones(2), "b": gb}, lr=1e-1, beta1=0.9)
+        for saved, now in zip(before[:3], (opt.params, opt.m, opt.v)):
+            for name in saved:
+                np.testing.assert_array_equal(now[name], saved[name])
+        assert opt.t == before[3]

@@ -280,6 +280,113 @@ def test_m_step_moments_match_loop_oracle():
 
 
 # ---------------------------------------------------------------------------
+# fused E- and M-step ops
+
+
+def _composed_log_density(x):
+    b, i, j, c, h = x["votes"].shape
+    mu = T.reshape(x["mean"], (b, 1, j, c, h))
+    var = T.reshape(x["var"], (b, 1, j, c, h))
+    per_component = T.sub(
+        T.mul(-0.5, T.log(T.mul(2.0 * math.pi, var))),
+        T.div(T.square(T.sub(x["votes"], mu)), T.mul(2.0, var)))
+    return T.reduce_sum(per_component, axes=(3, 4))
+
+
+def _composed_mean(used, values, denom):
+    b, j = denom.shape
+    return T.div(T.contract(used, values, "bij,bijch->bjch"),
+                 T.reshape(denom, (b, j, 1, 1)))
+
+
+def _composed_variance(x):
+    b, i, j, c, h = x["votes"].shape
+    diff = T.sub(x["votes"], T.reshape(x["mean"], (b, 1, j, c, h)))
+    return T.add(_composed_mean(x["used"], T.square(diff), x["denom"]), 0.01)
+
+
+# op name -> (fused op, the same formula from generic tape ops, its inputs)
+FUSED_OPS = {
+    "log_density": (
+        lambda x: R._log_density(
+            x["votes"], R.RoutingOutput(None, x["mean"], x["var"])),
+        _composed_log_density, ("votes", "mean", "var")),
+    "weighted_mean": (
+        lambda x: R._weighted_mean(x["used"], x["votes"], x["denom"]),
+        lambda x: _composed_mean(x["used"], x["votes"], x["denom"]),
+        ("used", "votes", "denom")),
+    "weighted_variance": (
+        lambda x: R._weighted_variance(x["used"], x["votes"], x["mean"],
+                                       x["denom"], 0.01),
+        _composed_variance, ("used", "votes", "mean", "denom")),
+}
+
+
+def _fused_operands(seed):
+    """Random operands off the routing fixed point: the means are not the
+    used-weighted means of the votes, so sum_i u (v - mu) != 0, and the
+    denominators are not sum_i u."""
+    rng = np.random.default_rng(seed)
+    b, i, j, c, h = 2, 3, 2, 2, 3
+    return dict(votes=rng.normal(size=(b, i, j, c, h)),
+                mean=rng.normal(size=(b, j, c, h)),
+                var=rng.uniform(0.3, 2.0, size=(b, j, c, h)),
+                used=rng.uniform(0.05, 1.0, size=(b, i, j)),
+                denom=rng.uniform(0.5, 2.0, size=(b, j)))
+
+
+@pytest.mark.parametrize("op,wrt", [(op, name) for op, (_, _, names)
+                                    in FUSED_OPS.items() for name in names])
+def test_fused_op_vjp_matches_central_differences(op, wrt):
+    fused = FUSED_OPS[op][0]
+    x = _fused_operands(30)
+    consts = {k: T.tensor(v) for k, v in x.items()}
+    weights = np.random.default_rng(31).normal(size=fused(consts).shape)
+
+    def f(t):
+        return T.reduce_sum(T.mul(fused(consts | {wrt: t}), weights))
+
+    assert T.grad_check(f, x[wrt]) <= 1e-6
+
+
+@pytest.mark.parametrize("op", FUSED_OPS)
+def test_fused_op_matches_composition(op):
+    fused, composed, names = FUSED_OPS[op]
+    x = _fused_operands(32)
+    results = []
+    for fn in (fused, composed):
+        tape = T.Tape()
+        leaves = {k: tape.leaf(v) for k, v in x.items()}
+        out = fn(leaves)
+        weights = np.random.default_rng(33).normal(size=out.shape)
+        grads = T.backward(tape, T.reduce_sum(T.mul(out, weights)))
+        results.append((out.data, [grads[leaves[k].node] for k in names]))
+    (out_f, grads_f), (out_c, grads_c) = results
+    np.testing.assert_allclose(out_f, out_c, rtol=0, atol=1e-12)
+    for name, gf, gc in zip(names, grads_f, grads_c):
+        np.testing.assert_allclose(gf, gc, rtol=0, atol=1e-12, err_msg=name)
+
+
+def test_desk_route_tape_length_is_pinned():
+    # each E-step log-density, M-step mean and M-step variance is one node;
+    # composing them from generic ops again would record 86 and 97 nodes
+    from capsem.classifier import build_constellation_classifier
+    model = build_constellation_classifier(d_cov=4, d_in=4, n_classes=5)
+    (p0, cfg0), (p1, cfg1) = model.layers
+    rng = np.random.default_rng(34)
+    for params, cfg, n, tracked_caps, nodes in ((p0, cfg0, 10, False, 46),
+                                                (p1, cfg1, 32, True, 56)):
+        tape = T.Tape()
+        pt = params.tracked(tape)
+        caps = random_caps(rng, cfg, batch=20, n=n)
+        if tracked_caps:
+            caps = caps.tracked(tape)
+        before = len(tape)
+        route(pt, caps, cfg)
+        assert len(tape) - before == nodes
+
+
+# ---------------------------------------------------------------------------
 # route
 
 
