@@ -27,7 +27,9 @@ from .optim import OneCycleSchedule, RAdam, schedule_at
 from .routing import (CapsuleBatch, RoutingConfig, RoutingParams, init_params,
                       is_count, is_finite_number, route)
 
-_EVAL_BATCH = 100
+# samples per untracked forward pass (prediction, evaluation, the route
+# trace), so that memory does not grow with the batch
+CHUNK_SAMPLES = 100
 
 
 @dataclass
@@ -47,8 +49,7 @@ class CapsuleClassifier:
 
     def predict_proba(self, caps: CapsuleBatch) -> np.ndarray:
         """Softmax of the class capsules' scores, one row per sample."""
-        scores = self.forward(caps)[-1].scores.data
-        return T.softmax(T.tensor(scores), axis=1).data
+        return T.softmax(T.tensor(_class_scores(self, caps)), axis=1).data
 
     def param_dict(self) -> dict[str, np.ndarray]:
         """Flat name -> array view (or tracked tensor) of every parameter."""
@@ -180,24 +181,28 @@ def _batch_gradients(model: CapsuleClassifier, scores, poses, targets):
     return loss.item(), named
 
 
+def _class_scores(model: CapsuleClassifier, caps: CapsuleBatch) -> np.ndarray:
+    """Class-capsule scores, one row per sample, routed untracked in
+    chunks of CHUNK_SAMPLES; a zero-sample batch is one empty chunk."""
+    caps = caps.batched()
+    scores, poses = T.asarray(caps.scores), T.asarray(caps.poses)
+    chunks = []
+    for lo in range(0, max(len(scores), 1), CHUNK_SAMPLES):
+        chunk = CapsuleBatch(scores[lo:lo + CHUNK_SAMPLES],
+                             poses[lo:lo + CHUNK_SAMPLES])
+        chunks.append(model.forward(chunk)[-1].scores.data)
+    return np.concatenate(chunks)
+
+
 def evaluate(model: CapsuleClassifier, caps: CapsuleBatch,
              labels) -> tuple[float, float]:
     """Mean cross-entropy and accuracy over a labeled capsule batch."""
-    scores = T.asarray(caps.scores)
-    poses = T.asarray(caps.poses)
     labels = np.asarray(labels)
-    n = len(labels)
-    if n == 0:
+    if len(labels) == 0:
         return float("nan"), float("nan")
-    targets = to_one_hot(labels, model.n_classes)
-    total_loss, hits = 0.0, 0
-    for lo in range(0, n, _EVAL_BATCH):
-        hi = min(lo + _EVAL_BATCH, n)
-        out = model.forward(CapsuleBatch(scores[lo:hi], poses[lo:hi]))[-1]
-        loss = cross_entropy(out.scores, targets[lo:hi])
-        total_loss += loss.item() * (hi - lo)
-        hits += int((out.scores.data.argmax(axis=1) == labels[lo:hi]).sum())
-    return total_loss / n, hits / n
+    scores = _class_scores(model, caps)
+    loss = cross_entropy(scores, to_one_hot(labels, model.n_classes))
+    return loss.item(), float(np.mean(scores.argmax(axis=1) == labels))
 
 
 def train_classifier(model: CapsuleClassifier, train_caps: CapsuleBatch,

@@ -18,7 +18,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import tensor as T
-from .classifier import (CapsuleClassifier, TrainRegime,
+from .classifier import (CHUNK_SAMPLES, CapsuleClassifier, TrainRegime,
                          build_constellation_classifier, train_classifier)
 from .data import (ConstellationSpec, make_dataset, read_capsules, read_json,
                    read_model, spec_from_dict, write_capsules, write_model)
@@ -166,15 +166,6 @@ def cmd_route(args) -> int:
                   for params, config in layers]
     model = CapsuleClassifier(layers, n_classes)
     caps, labels = read_capsules(args.input)
-
-    poses = T.asarray(caps.poses)
-    cfg0 = layers[0][1]
-    if poses.shape[-2:] != (cfg0.d_cov, cfg0.d_in):
-        raise DataFormatError(
-            f"input capsules have (d_cov, d_in)={poses.shape[-2:]}, model "
-            f"expects ({cfg0.d_cov}, {cfg0.d_in})"
-        )
-
     probs = model.predict_proba(caps)
     print("sample," + ",".join(f"p{k}" for k in range(n_classes)))
     for i, row in enumerate(probs):
@@ -189,13 +180,11 @@ def cmd_route(args) -> int:
     return 0
 
 
-_TRACE_SAMPLES = 100
-
-
 def _dump_trace(model, caps, path):
+    """Write the routing trace of the first chunk ``predict_proba`` routes."""
     caps = caps.batched()
-    current = CapsuleBatch(T.asarray(caps.scores)[:_TRACE_SAMPLES],
-                           T.asarray(caps.poses)[:_TRACE_SAMPLES])
+    current = CapsuleBatch(T.asarray(caps.scores)[:CHUNK_SAMPLES],
+                           T.asarray(caps.poses)[:CHUNK_SAMPLES])
     doc = {"layers": []}
     for params, config in model.layers:
         out, trace = route(params, current, config, want_trace=True)
@@ -290,11 +279,13 @@ def _parse_grid(spec: str) -> dict[str, list[str]]:
             continue
         if "=" not in part:
             raise ConfigError(f"bad grid term {part!r}; expected key=v1,v2")
-        key, values = part.split("=", 1)
+        key, values = (s.strip() for s in part.split("=", 1))
         values = [v.strip() for v in values.split(",") if v.strip()]
         if not values:
-            raise ConfigError(f"grid key {key.strip()!r} has no values")
-        grid[key.strip()] = values
+            raise ConfigError(f"grid key {key!r} has no values")
+        if key in grid:
+            raise ConfigError(f"grid key {key!r} is given twice")
+        grid[key] = values
     unknown = set(grid) - {"n_in", "n_out", "variant"}
     if unknown:
         raise ConfigError(f"unknown grid keys: {sorted(unknown)}")

@@ -157,18 +157,12 @@ def make_dataset(spec: ConstellationSpec, n_samples: int,
     """Stack a generated range into one float64 batch plus its labels."""
     if n_samples < 0:
         raise ConfigError(f"sample count must be >= 0, got {n_samples}")
-    all_scores, all_poses, labels = [], [], []
-    for scores, poses, label in gen_constellation(spec, n_samples, start):
-        all_scores.append(scores)
-        all_poses.append(poses)
-        labels.append(label)
-    if n_samples == 0:
-        shape = (0, spec.caps_per_sample, spec.d_cov, spec.d_in)
-        return (CapsuleBatch(np.zeros(shape[:2]), np.zeros(shape)),
-                np.zeros(0, dtype=np.int64))
-    batch = CapsuleBatch(clamp_scores(np.array(all_scores)),
-                         np.array(all_poses))
-    return batch, np.array(labels, dtype=np.int64)
+    shape = (n_samples, spec.caps_per_sample, spec.d_cov, spec.d_in)
+    scores, poses = np.empty(shape[:2]), np.empty(shape)
+    labels = np.empty(n_samples, dtype=np.int64)
+    for k, sample in enumerate(gen_constellation(spec, n_samples, start)):
+        scores[k], poses[k], labels[k] = sample
+    return CapsuleBatch(clamp_scores(scores), poses), labels
 
 
 def to_one_hot(labels: np.ndarray, n_classes: int) -> np.ndarray:
@@ -238,16 +232,19 @@ def ingest_embeddings(vectors: np.ndarray, mask: np.ndarray,
     """Turn a matrix of external embedding vectors into capsules.
 
     ``vectors`` is (n, m) for one sample or (batch, n, m); each length-m
-    vector becomes one capsule of shape (d_cov, m / d_cov). ``mask``
-    values in [0, 1] become scores through their clamped log-odds. Poses
-    and scores are float32 if vectors and mask are, else float64. To tag
-    each capsule's provenance, add :func:`capsem.nn.channel_embedding`
-    rows to the vectors first.
+    vector becomes one capsule of shape (d_cov, m / d_cov), where
+    ``d_cov`` is an int >= 1 that divides m. ``mask`` values in [0, 1]
+    become scores through their clamped log-odds. Poses and scores are
+    float32 if vectors and mask are, else float64. To tag each capsule's
+    provenance, add :func:`capsem.nn.channel_embedding` rows to the
+    vectors first.
     """
     vectors = T.float_array(vectors)
     if vectors.ndim not in (2, 3):
         raise ShapeError(f"vectors must be (n, m) or (batch, n, m), got "
                          f"{vectors.shape}")
+    if not is_count(d_cov):
+        raise ShapeError(f"d_cov must be an int >= 1, got {d_cov!r}")
     m = vectors.shape[-1]
     if m % d_cov != 0:
         raise ShapeError(f"vector length {m} is not divisible by d_cov={d_cov}")
@@ -376,6 +373,8 @@ def read_capsules(path) -> tuple[CapsuleBatch, np.ndarray | None]:
         return _read_capsules_json(path)
     r, dtype = _read_file(path, _KIND_BATCH)
     flags, b, n, d_cov, d_in = r.unpack("<B4I")
+    if flags & ~1:
+        raise DataFormatError(f"batch flags byte {flags:#04x} is undefined")
     scores = r.floats(dtype, b * n).reshape(b, n)
     poses = r.floats(dtype, b * n * d_cov * d_in).reshape(b, n, d_cov, d_in)
     labels = None
@@ -519,8 +518,9 @@ def _layer_record(params: RoutingParams, config: RoutingConfig,
 
 def _read_layer(r: _Reader, dtype: np.dtype) -> tuple[RoutingParams, RoutingConfig]:
     code, tie, *rest = r.unpack(_LAYER_RECORD)
-    values = iter([MODES[code] if code < len(MODES) else code, bool(tie),
-                   *rest])
+    # RoutingConfig rejects an undefined mode code or tie byte as an int
+    values = iter([MODES[code] if code < len(MODES) else code,
+                   tie == 1 if tie < 2 else tie, *rest])
     config = _stored_config({
         key: {dim: next(values) for dim in value}
         if isinstance(value, dict) else next(values)

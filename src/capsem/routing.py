@@ -322,11 +322,9 @@ def compute_votes(params: RoutingParams, caps: CapsuleBatch,
     caps = caps.batched()
     poses = T.as_tensor(caps.poses)
     b, n, c, d = poses.shape
-    if c != config.d_cov or d != config.d_in:
-        raise ShapeError(
-            f"poses have d_cov={c}, d_in={d}; config expects "
-            f"d_cov={config.d_cov}, d_in={config.d_in}"
-        )
+    if (c, d) != (config.d_cov, config.d_in):
+        raise ShapeError(f"poses have (d_cov, d_in)={(c, d)}; config "
+                         f"expects {(config.d_cov, config.d_in)}")
     if config.n_in not in (None, n):
         raise ShapeError(f"expected n_in={config.n_in} capsules, found {n}")
     weights = T.as_tensor(params.weights)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -137,3 +139,59 @@ def test_evaluate_on_empty_set(small_data):
     caps = CapsuleBatch(np.zeros((0, 10)), np.zeros((0, 10, 4, 4)))
     loss, acc = evaluate(model, caps, np.zeros(0, dtype=int))
     assert np.isnan(loss) and np.isnan(acc)
+
+
+@pytest.fixture(scope="module")
+def routed_data():
+    spec = ConstellationSpec(seed=12)
+    caps, labels = make_dataset(spec, 400)
+    model = build_constellation_classifier(spec.d_cov, spec.d_in,
+                                           spec.n_classes, seed=0)
+    return model, np.asarray(caps.scores), np.asarray(caps.poses), labels
+
+
+@pytest.mark.parametrize("n", [0, 1, 99, 100, 101, 250])
+def test_predict_proba_routes_in_chunks_of_100(routed_data, n):
+    model, scores, poses, _ = routed_data
+    scores, poses = scores[:n], poses[:n]
+    probs = model.predict_proba(CapsuleBatch(scores, poses))
+    expected = np.concatenate(
+        [np.empty((0, model.n_classes))]
+        + [model.predict_proba(CapsuleBatch(scores[lo:lo + 100],
+                                            poses[lo:lo + 100]))
+           for lo in range(0, n, 100)])
+    assert np.array_equal(probs, expected)
+
+
+def test_predict_proba_batches_one_sample(routed_data):
+    model, scores, poses, _ = routed_data
+    probs = model.predict_proba(CapsuleBatch(scores[0], poses[0]))
+    assert np.array_equal(
+        probs, model.predict_proba(CapsuleBatch(scores[:1], poses[:1])))
+
+
+def test_evaluate_accuracy_is_argmax_accuracy(routed_data):
+    model, scores, poses, labels = routed_data
+    caps = CapsuleBatch(scores[:250], poses[:250])
+    probs = model.predict_proba(caps)
+    _, acc = evaluate(model, caps, labels[:250])
+    assert acc == float(np.mean(probs.argmax(axis=1) == labels[:250]))
+
+
+def _peak_mb(fn) -> float:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+
+
+def test_predict_proba_memory_does_not_grow_with_batch(routed_data):
+    model, scores, poses, _ = routed_data
+    small = CapsuleBatch(scores[:100], poses[:100])
+    model.predict_proba(small)  # warm lazily built caches
+    peak_100 = _peak_mb(lambda: model.predict_proba(small))
+    peak_400 = _peak_mb(lambda: model.predict_proba(
+        CapsuleBatch(scores, poses)))
+    assert peak_400 <= 1.1 * peak_100, (peak_100, peak_400)

@@ -389,8 +389,9 @@ def test_bench_rejects_unknown_variant_before_timing(tmp_path, capsys,
     (["bench", "--grid", "n_in=abc"], "'abc'"),
     (["bench", "--grid", "n_in="], "'n_in'"),
     (["gen-data", "--n", "-5"], "-5"),
+    (["bench", "--grid", "n_in=2;n_in=4"], "'n_in' is given twice"),
 ], ids=["bench_zero_reps", "bench_non_int_grid", "bench_empty_grid",
-        "gen_data_negative_n"])
+        "gen_data_negative_n", "bench_repeated_grid_key"])
 def test_bad_counts_exit_2(tmp_path, capsys, argv, bad):
     out = tmp_path / "out"
     where = ["--csv" if argv[0] == "bench" else "--out", str(out)]

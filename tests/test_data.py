@@ -191,6 +191,39 @@ def test_capsule_file_rejects_trailing_garbage(tmp_path):
         D.read_capsules(path)
 
 
+@pytest.mark.parametrize("flags", [0x02, 0x03, 0x81])
+def test_capsule_file_rejects_undefined_flag_bits(tmp_path, flags):
+    path = tmp_path / "flags.caps"
+    D.write_capsules(path, CapsuleBatch(np.zeros((1, 2)),
+                                        np.zeros((1, 2, 3, 3))), [0])
+    # the flags byte follows the 8-byte header
+    blob = bytearray(path.read_bytes())
+    blob[8] = flags
+    path.write_bytes(bytes(blob))
+    with pytest.raises(DataFormatError, match="flags"):
+        D.read_capsules(path)
+
+
+@pytest.mark.parametrize("reader", ["params", "model"])
+@pytest.mark.parametrize("tie", [2, 255])
+def test_capsule_file_rejects_undefined_tie_byte(tmp_path, reader, tie):
+    cfg = RoutingConfig(n_out=3, n_in=4, d_cov=2, d_in=2, d_out=3,
+                        tie_betas=True)
+    path = tmp_path / "tied.caps"
+    if reader == "params":
+        D.write_params(path, init_params(cfg, seed=0), cfg)
+    else:
+        D.write_model(path, [(init_params(cfg, seed=0), cfg)], n_classes=3)
+    # the tie byte is the layer record's second byte, after the 8-byte
+    # header (and a model's layer count and class count)
+    blob = bytearray(path.read_bytes())
+    blob[8 + (8 if reader == "model" else 0) + 1] = tie
+    path.write_bytes(bytes(blob))
+    read = D.read_params if reader == "params" else D.read_model
+    with pytest.raises(DataFormatError, match="tie_betas"):
+        read(path)
+
+
 @pytest.mark.parametrize("suffix", [".caps", ".json"])
 def test_capsule_file_rejects_nonfinite_payload(tmp_path, suffix):
     path = tmp_path / f"batch{suffix}"
@@ -464,9 +497,13 @@ def test_ingest_half_mask_gives_zero_scores():
     assert scores[2] == -LOGIT_MAX
 
 
-def test_ingest_rejects_indivisible_length():
-    with pytest.raises(ShapeError, match="divisible"):
-        D.ingest_embeddings(np.zeros((3, 7)), np.ones(3), d_cov=2)
+@pytest.mark.parametrize("m, d_cov, match", [
+    (7, 2, "divisible"), (4, 0, "d_cov"), (4, -2, "d_cov"),
+    (4, True, "d_cov"), (4, 2.0, "d_cov"),
+], ids=["indivisible", "zero", "negative", "bool", "float"])
+def test_ingest_rejects_indivisible_length(m, d_cov, match):
+    with pytest.raises(ShapeError, match=match):
+        D.ingest_embeddings(np.zeros((3, m)), np.ones(3), d_cov=d_cov)
 
 
 def test_ingest_rejects_bad_mask():
