@@ -55,9 +55,10 @@ def cmd_gen_data(args) -> int:
     spec = ConstellationSpec()
     if args.spec:
         spec = spec_from_dict(read_json(args.spec))
-    if args.seed is not None:
-        spec = replace(spec, seed=args.seed)
-    batch, labels = make_dataset(spec, args.n)
+    if args.seed < 0:
+        raise ConfigError("seed must be an int >= 0")
+    # the seed picks a window of 10000 samples of the task, not the task
+    batch, labels = make_dataset(spec, args.n, start=10_000 * args.seed)
     write_capsules(args.out, batch, labels)
     hist = np.bincount(labels, minlength=spec.n_classes)
     print(f"wrote {args.n} samples ({spec.caps_per_sample} capsules each, "
@@ -402,7 +403,7 @@ def build_parser() -> _Parser:
     p.add_argument("--spec", help="ConstellationSpec JSON file")
     p.add_argument("--out", required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_gen_data)
 
     p = sub.add_parser("train", help="train the two-layer classifier")

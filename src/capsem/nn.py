@@ -11,7 +11,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import DomainError, ShapeError
-from .routing import LOGIT_MAX
+from .routing import clamp_scores
 from .tensor import Tensor
 
 _LN_STABILIZER = 1e-5
@@ -63,7 +63,7 @@ def mask_to_logits(mask: np.ndarray) -> np.ndarray:
         raise DomainError("mask values must lie in [0, 1]")
     with np.errstate(divide="ignore"):
         logits = np.log(x) - np.log1p(-x)
-    return np.clip(logits, -LOGIT_MAX, LOGIT_MAX)
+    return clamp_scores(logits)
 
 
 def cross_entropy(scores, target) -> Tensor:

@@ -59,8 +59,8 @@ class Tape:
     """Append-only record of operations for one reverse-mode pass.
 
     Each node stores the node ids of its inputs (-1 marks an untracked
-    input) and a vector-Jacobian closure. Append order is topological by
-    construction, so ``backward`` can walk the list once, in reverse.
+    input) and a vector-Jacobian closure, None exactly for a leaf. Append
+    order is topological, so ``backward`` walks the list once, in reverse.
     """
 
     __slots__ = ("_nodes",)
@@ -148,13 +148,13 @@ def _result_tape(srcs: Sequence[Tensor]) -> Tape | None:
 
 
 def record(out_data: np.ndarray, srcs: Sequence[Tensor],
-           vjp: Callable | None) -> Tensor:
+           vjp: Callable) -> Tensor:
     """Wrap ``out_data``, an op's result computed from ``srcs``, and
     record it on the operands' tape if any of them is tracked.
 
     ``vjp(g)`` maps the output gradient ``g`` (shaped like ``out_data``)
-    to one gradient per source, in ``srcs`` order; None marks a source
-    that gets no gradient. Every op here is built on this, and so is any
+    to one gradient array per source, in ``srcs`` order, untracked
+    sources included. Every op here is built on this, and so is any
     fused op defined outside this module.
     """
     tape = _result_tape(srcs)
@@ -165,10 +165,10 @@ def record(out_data: np.ndarray, srcs: Sequence[Tensor],
 
 
 def backward(tape: Tape, loss: Tensor) -> dict[int, np.ndarray]:
-    """Reverse-mode pass from a scalar ``loss``; returns node id -> gradient.
+    """Reverse-mode pass from a scalar ``loss``; returns leaf node id ->
+    gradient, exactly for the tracked leaves on the path to the loss.
 
-    Fan-out accumulates by summation; every node on the path from a tracked
-    leaf to the loss gets an entry, untracked operands get none.
+    Fan-out sums; each interior gradient is dropped once its VJP has run.
     """
     if loss.tape is not tape or loss.node is None:
         raise ValueError("loss is not tracked on this tape")
@@ -178,14 +178,11 @@ def backward(tape: Tape, loss: Tensor) -> dict[int, np.ndarray]:
         loss.node: np.ones((), dtype=loss.data.dtype)
     }
     for nid in range(loss.node, -1, -1):
-        g = grads.get(nid)
-        if g is None:
-            continue
         inputs, vjp = tape._nodes[nid]
-        if vjp is None:
+        if vjp is None or nid not in grads:
             continue
-        for src, gsrc in zip(inputs, vjp(g)):
-            if src < 0 or gsrc is None:
+        for src, gsrc in zip(inputs, vjp(grads.pop(nid))):
+            if src < 0:
                 continue
             acc = grads.get(src)
             grads[src] = gsrc if acc is None else acc + gsrc

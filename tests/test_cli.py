@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from capsem.cli import main
-from capsem.data import read_capsules
+from capsem.data import ConstellationSpec, make_dataset, read_capsules
 
 
 def run_cli(*argv, capsys=None):
@@ -52,6 +52,30 @@ def test_gen_data_is_byte_deterministic(tmp_path):
     assert main(["gen-data", "--out", str(a), "--n", "25", "--seed", "3"]) == 0
     assert main(["gen-data", "--out", str(b), "--n", "25", "--seed", "3"]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def _assert_file_holds(path, spec, n, start):
+    batch, labels = read_capsules(path)
+    want, want_labels = make_dataset(spec, n, start=start)
+    np.testing.assert_array_equal(labels, want_labels)
+    np.testing.assert_array_equal(batch.scores, want.scores)
+    np.testing.assert_array_equal(batch.poses, want.poses)
+
+
+def test_gen_data_seed_picks_samples_of_the_default_task(tmp_path):
+    out = tmp_path / "d.caps"
+    assert main(["gen-data", "--out", str(out), "--n", "5",
+                 "--seed", "7"]) == 0
+    _assert_file_holds(out, ConstellationSpec(), 5, start=70_000)
+
+
+def test_gen_data_seed_keeps_the_spec_seed(tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"seed": 3}))
+    out = tmp_path / "d.caps"
+    assert main(["gen-data", "--spec", str(spec), "--out", str(out),
+                 "--n", "5", "--seed", "7"]) == 0
+    _assert_file_holds(out, ConstellationSpec(seed=3), 5, start=70_000)
 
 
 def test_gen_data_empty_file_is_valid(tmp_path):
@@ -390,8 +414,10 @@ def test_bench_rejects_unknown_variant_before_timing(tmp_path, capsys,
     (["bench", "--grid", "n_in="], "'n_in'"),
     (["gen-data", "--n", "-5"], "-5"),
     (["bench", "--grid", "n_in=2;n_in=4"], "'n_in' is given twice"),
+    (["gen-data", "--n", "5", "--seed", "-1"], "seed must be"),
 ], ids=["bench_zero_reps", "bench_non_int_grid", "bench_empty_grid",
-        "gen_data_negative_n", "bench_repeated_grid_key"])
+        "gen_data_negative_n", "bench_repeated_grid_key",
+        "gen_data_negative_seed"])
 def test_bad_counts_exit_2(tmp_path, capsys, argv, bad):
     out = tmp_path / "out"
     where = ["--csv" if argv[0] == "bench" else "--out", str(out)]

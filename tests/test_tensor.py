@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -189,6 +190,40 @@ def test_backward_requires_scalar_loss():
     x = tape.leaf([1.0, 2.0])
     with pytest.raises(ValueError, match="scalar"):
         T.backward(tape, T.square(x))
+
+
+def test_backward_returns_exactly_the_leaves_on_the_loss_path():
+    tape = T.Tape()
+    x = tape.leaf([1.0, 2.0])
+    w = tape.leaf([3.0, 4.0])
+    off = tape.leaf(5.0)
+    T.square(off)  # recorded, but never reaches the loss
+    loss = T.reduce_sum(T.add(T.mul(x, w), 1.0))
+    grads = T.backward(tape, loss)
+    assert set(grads) == {x.node, w.node}
+    np.testing.assert_array_equal(grads[x.node], [3.0, 4.0])
+    np.testing.assert_array_equal(grads[w.node], [1.0, 2.0])
+    # a loss that is itself a leaf
+    assert T.backward(tape, off) == {off.node: 1.0}
+
+
+def test_backward_drops_interior_gradients():
+    # 20 chained negations of a 1 MB leaf: keeping every interior
+    # gradient would hold about 20 MB until the pass ends
+    tape = T.Tape()
+    x = tape.leaf(np.ones(1 << 17))
+    y = x
+    for _ in range(20):
+        y = T.neg(y)
+    loss = T.reduce_sum(y)
+    tracemalloc.start()
+    try:
+        grads = T.backward(tape, loss)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(grads[x.node], np.ones(1 << 17))
+    assert peak < 4 << 20
 
 
 def test_backward_composite_matches_finite_differences():
