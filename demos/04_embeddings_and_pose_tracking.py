@@ -41,7 +41,7 @@ features = layer_norm(T.swish(linear(x, w, b)), gain, shift)
 
 caps = ingest_embeddings(features.data, mask, d_cov=1)
 print(f"{embeddings.shape} embeddings -> {caps.n} capsules of shape "
-      f"{T.asarray(caps.poses).shape[1:]}; scores span "
+      f"{T.asarray(caps.poses).shape[2:]}; scores span "
       f"[{T.asarray(caps.scores).min():+.0f}, {T.asarray(caps.scores).max():+.0f}]")
 
 routing = RoutingConfig(n_out=6, d_cov=1, d_in=16, d_out=2, n_iters=3)

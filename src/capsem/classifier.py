@@ -17,12 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from . import tensor as T
 from .data import to_one_hot
 from .errors import ConfigError, DomainError, ShapeError
-from .nn import cross_entropy, draw_mix_weight, mask_to_logits, mixup
+from .nn import cross_entropy, mix_batch
 from .optim import OneCycleSchedule, RAdam, schedule_at
 from .routing import (CapsuleBatch, RoutingConfig, RoutingParams, init_params,
                       is_count, is_finite_number, route)
@@ -149,20 +148,6 @@ class EpochLog:
     val_accuracy: float
 
 
-def _mix_batch(scores, poses, targets, lam: float, rng) -> tuple:
-    """Mix a batch with a shuffled copy of itself, one weight per batch.
-
-    Score mixing happens in probability space (logistic, mix, log-odds)
-    so fully-present and fully-absent capsules blend the same way masks
-    do; poses and label rows mix linearly with the same weight.
-    """
-    perm = rng.permutation(len(scores))
-    (mixed_probs, mixed_poses), mixed_targets = mixup(
-        ((expit(scores), poses), targets),
-        ((expit(scores[perm]), poses[perm]), targets[perm]), lam=lam)
-    return mask_to_logits(mixed_probs), mixed_poses, mixed_targets
-
-
 def _batch_gradients(model: CapsuleClassifier, scores, poses, targets):
     """Loss and parameter gradients for one (possibly mixed) batch,
     differentiated on one tape."""
@@ -184,7 +169,6 @@ def _batch_gradients(model: CapsuleClassifier, scores, poses, targets):
 def _class_scores(model: CapsuleClassifier, caps: CapsuleBatch) -> np.ndarray:
     """Class-capsule scores, one row per sample, routed untracked in
     chunks of CHUNK_SAMPLES; a zero-sample batch is one empty chunk."""
-    caps = caps.batched()
     scores, poses = T.asarray(caps.scores), T.asarray(caps.poses)
     chunks = []
     for lo in range(0, max(len(scores), 1), CHUNK_SAMPLES):
@@ -249,8 +233,8 @@ def train_classifier(model: CapsuleClassifier, train_caps: CapsuleBatch,
             idx = order[lo:lo + regime.batch_size]
             bs, bp, bt = scores[idx], poses[idx], targets[idx]
             if regime.mixup:
-                lam = draw_mix_weight(rng, regime.mixup_alpha)
-                bs, bp, bt = _mix_batch(bs, bp, bt, lam, rng)
+                lam = rng.beta(*regime.mixup_alpha)
+                bs, bp, bt = mix_batch(bs, bp, bt, lam, rng)
             loss, grads = _batch_gradients(model, bs, bp, bt)
             if not np.isfinite(loss):
                 raise DomainError(f"training loss became non-finite "

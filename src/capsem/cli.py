@@ -55,8 +55,6 @@ def cmd_gen_data(args) -> int:
     spec = ConstellationSpec()
     if args.spec:
         spec = spec_from_dict(read_json(args.spec))
-    if args.seed < 0:
-        raise ConfigError("seed must be an int >= 0")
     # the seed picks a window of 10000 samples of the task, not the task
     batch, labels = make_dataset(spec, args.n, start=10_000 * args.seed)
     write_capsules(args.out, batch, labels)
@@ -183,7 +181,6 @@ def cmd_route(args) -> int:
 
 def _dump_trace(model, caps, path):
     """Write the routing trace of the first chunk ``predict_proba`` routes."""
-    caps = caps.batched()
     current = CapsuleBatch(T.asarray(caps.scores)[:CHUNK_SAMPLES],
                            T.asarray(caps.poses)[:CHUNK_SAMPLES])
     doc = {"layers": []}
@@ -451,9 +448,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "seed", None) is not None and args.seed < 0:
+            raise ConfigError("seed must be an int >= 0")
         return args.func(args)
     except (DataFormatError, ConfigError, ShapeError, DomainError,
-            FileNotFoundError) as e:
+            OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -30,7 +30,7 @@ from .errors import (ConfigError, DataFormatError, DomainError,
 from .nn import mask_to_logits
 from .routing import (LOGIT_MAX, MODES, CapsuleBatch, RoutingConfig,
                       RoutingParams, clamp_scores, is_count, is_finite_number,
-                      learned_shapes, mode_config)
+                      mode_config, param_shapes)
 
 # ---------------------------------------------------------------------------
 # constellation generator
@@ -231,13 +231,13 @@ def ingest_embeddings(vectors: np.ndarray, mask: np.ndarray,
                       d_cov: int = 1) -> CapsuleBatch:
     """Turn a matrix of external embedding vectors into capsules.
 
-    ``vectors`` is (n, m) for one sample or (batch, n, m); each length-m
-    vector becomes one capsule of shape (d_cov, m / d_cov), where
-    ``d_cov`` is an int >= 1 that divides m. ``mask`` values in [0, 1]
-    become scores through their clamped log-odds. Poses and scores are
-    float32 if vectors and mask are, else float64. To tag each capsule's
-    provenance, add :func:`capsem.nn.channel_embedding` rows to the
-    vectors first.
+    ``vectors`` is (batch, n, m), or (n, m) for one sample, which gives
+    a batch of one; each length-m vector becomes one capsule of shape
+    (d_cov, m / d_cov), where ``d_cov`` is an int >= 1 that divides m.
+    ``mask`` values in [0, 1] become scores through their clamped
+    log-odds. Poses and scores are float32 if vectors and mask are, else
+    float64. To tag each capsule's provenance, add
+    :func:`capsem.nn.channel_embedding` rows to the vectors first.
     """
     vectors = T.float_array(vectors)
     if vectors.ndim not in (2, 3):
@@ -351,7 +351,6 @@ def write_capsules(path, batch: CapsuleBatch, labels=None) -> None:
     if str(path).endswith(".json"):
         _write_capsules_json(path, batch, labels)
         return
-    batch = batch.batched()
     scores = np.ascontiguousarray(T.asarray(batch.scores))
     poses = np.ascontiguousarray(T.asarray(batch.poses))
     b, n, d_cov, d_in = poses.shape
@@ -386,7 +385,6 @@ def read_capsules(path) -> tuple[CapsuleBatch, np.ndarray | None]:
 
 
 def _write_capsules_json(path, batch, labels) -> None:
-    batch = batch.batched()
     fields = {"scores": T.asarray(batch.scores).tolist(),
               "poses": T.asarray(batch.poses).tolist()}
     if labels is not None:
@@ -499,7 +497,7 @@ def _stored_arrays(params: RoutingParams,
     of ``config`` so that a written file reads back."""
     arrays = {name: T.asarray(value) for name, value in params.items()}
     found = {name: a.shape for name, a in arrays.items()}
-    expected = learned_shapes(config)
+    expected = param_shapes(config)
     if found != expected:
         raise ShapeError(f"parameter shapes {found} do not match the "
                          f"{config.mode} layout {expected}")
@@ -528,7 +526,7 @@ def _read_layer(r: _Reader, dtype: np.dtype) -> tuple[RoutingParams, RoutingConf
     # math.prod: header dims are untrusted and np.prod would overflow
     params = RoutingParams.from_items(
         (name, r.floats(dtype, math.prod(shape)).reshape(shape))
-        for name, shape in learned_shapes(config).items())
+        for name, shape in param_shapes(config).items())
     return params, config
 
 
@@ -563,7 +561,7 @@ def _read_params_json(path) -> tuple[RoutingParams, RoutingConfig]:
     config = _stored_config(doc)
     params = RoutingParams.from_items(
         (name, _json_array(doc, name, shape))
-        for name, shape in learned_shapes(config).items())
+        for name, shape in param_shapes(config).items())
     return params, config
 
 

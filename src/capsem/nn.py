@@ -1,13 +1,14 @@
 """Non-routing layers and training-time transforms.
 
 Everything here is a pure function over the tape ops in
-:mod:`capsem.tensor`, except :func:`mask_to_logits` and :func:`mixup`,
+:mod:`capsem.tensor`, except :func:`mask_to_logits` and :func:`mix_batch`,
 which operate on plain arrays at the data boundary.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.special import expit
 
 from . import tensor as T
 from .errors import DomainError, ShapeError
@@ -87,35 +88,22 @@ def cross_entropy(scores, target) -> Tensor:
     return T.reduce_mean(per_sample)
 
 
-def draw_mix_weight(seed=None, lambda_params=(0.2, 0.2)) -> float:
-    """One Beta-distributed mixing weight; ``seed`` may be an int or rng."""
-    return float(np.random.default_rng(seed).beta(*lambda_params))
+def mix_batch(scores, poses, targets, lam: float, rng):
+    """Mix a batch with a shuffled copy of itself, one weight ``lam`` for
+    the whole batch, the shuffle drawn from ``rng``.
 
-
-def mixup(first, second, lam: float):
-    """Convex-mix two (inputs, target) samples with one shared weight
-    ``lam``, e.g. one from :func:`draw_mix_weight`.
-
-    ``inputs`` may be a single array or a tuple of arrays (all mixed with
-    the same weight); targets are probability rows and stay on the simplex.
-    For capsule pipelines, mix mask probabilities here and convert with
-    :func:`mask_to_logits` afterwards.
+    Scores mix in probability space (logistic, mix, clamped log-odds by
+    :func:`mask_to_logits`), so fully present and fully absent capsules
+    blend the way masks do; poses and target rows mix linearly, so
+    targets stay on the simplex. Returns (scores, poses, targets).
     """
-    inputs_a, target_a = first
-    inputs_b, target_b = second
+    lam = float(lam)  # a numpy scalar would upcast float32 batches
+    perm = rng.permutation(len(scores))
 
-    def mix(a, b):
-        a, b = np.asarray(a), np.asarray(b)
-        if a.shape != b.shape:
-            raise ShapeError(f"cannot mix shapes {a.shape} and {b.shape}")
-        return lam * a + (1.0 - lam) * b
+    def mix(x):
+        return lam * x + (1.0 - lam) * x[perm]
 
-    if isinstance(inputs_a, (tuple, list)):
-        mixed_inputs = type(inputs_a)(
-            mix(a, b) for a, b in zip(inputs_a, inputs_b, strict=True))
-    else:
-        mixed_inputs = mix(inputs_a, inputs_b)
-    return mixed_inputs, mix(target_a, target_b)
+    return mask_to_logits(mix(expit(scores))), mix(poses), mix(targets)
 
 
 def channel_embedding(table, channels) -> Tensor:

@@ -130,9 +130,10 @@ def mode_config(mode: str, n_in, n_out, **fields) -> RoutingConfig:
 class RoutingParams:
     """Learnable state of one layer; fields are ndarrays or tracked tensors.
 
-    :func:`param_shapes` gives each field's shape per sharing mode.
-    ``biases`` is None in variable_output mode, and ``beta_ign`` is the
-    identical object as ``beta_use`` when betas are tied.
+    :func:`param_shapes` gives the shape of each field :meth:`items`
+    yields, per sharing mode. ``biases`` is None in variable_output mode,
+    and ``beta_ign`` is the identical object as ``beta_use`` when betas
+    are tied.
     """
 
     weights: Union[np.ndarray, Tensor]
@@ -181,12 +182,13 @@ class ParamCount:
 
 
 class CapsuleBatch:
-    """Input scores and capsules, for one sample or a batch.
+    """Input scores and capsules of a batch of samples.
 
-    ``scores`` has shape (n,) or (batch, n); ``poses`` has shape
-    (n, d_cov, d_in) or (batch, n, d_cov, d_in). Scores are pre-activation
-    logits; absent (padded) capsules are marked with a score of -LOGIT_MAX,
-    never -inf. All values must be finite.
+    ``scores`` has shape (batch, n) and ``poses`` (batch, n, d_cov, d_in);
+    a single sample, scores (n,) with poses (n, d_cov, d_in), is stored
+    as a batch of one. Scores are pre-activation logits; absent (padded)
+    capsules are marked with a score of -LOGIT_MAX, never -inf. All
+    values must be finite.
     """
 
     def __init__(self, scores, poses):
@@ -202,28 +204,20 @@ class CapsuleBatch:
             )
         if not (np.all(np.isfinite(sdata)) and np.all(np.isfinite(pdata))):
             raise DomainError("capsule scores and poses must be finite")
+        if pdata.ndim == 3:
+            scores, poses = (
+                T.reshape(x, (1,) + x.shape) if isinstance(x, Tensor)
+                else np.asarray(x)[None] for x in (scores, poses))
         self.scores = scores
         self.poses = poses
 
     @property
-    def is_batched(self) -> bool:
-        return T.asarray(self.poses).ndim == 4
-
-    @property
     def n(self) -> int:
-        return T.asarray(self.poses).shape[-3]
+        return T.asarray(self.poses).shape[1]
 
     def batched(self) -> "CapsuleBatch":
-        if self.is_batched:
-            return self
-        s, p = self.scores, self.poses
-        if isinstance(s, Tensor):
-            s = T.reshape(s, (1,) + s.shape)
-            p = T.reshape(p, (1,) + p.shape)
-        else:
-            s = np.asarray(s)[None]
-            p = np.asarray(p)[None]
-        return CapsuleBatch(s, p)
+        # an identity, kept because perfbench/tracing.py calls it
+        return self
 
     def tracked(self, tape: T.Tape) -> "CapsuleBatch":
         return CapsuleBatch(tape.leaf(self.scores), tape.leaf(self.poses))
@@ -255,13 +249,15 @@ class RoutingTrace:
 # parameter setup
 
 
-def param_shapes(config: RoutingConfig) -> dict[str, tuple[int, ...] | None]:
-    """Shape of each RoutingParams field in the configured sharing mode.
+def param_shapes(config: RoutingConfig) -> dict[str, tuple[int, ...]]:
+    """The shape of each field :meth:`RoutingParams.items` yields for
+    parameters of ``config``, in the same order.
 
     Weights, biases and betas are indexed per (input, output) pair in
     fixed mode, per output in variable_input mode, and shared by every
     pair in variable_output mode, whose symmetry-breaking bias is
-    supplied per call, not learned (``biases`` is None).
+    supplied per call, not learned (no ``biases``). Tied betas store no
+    ``beta_ign``.
     """
     mode = config.mode
     if mode == "fixed":
@@ -270,21 +266,13 @@ def param_shapes(config: RoutingConfig) -> dict[str, tuple[int, ...] | None]:
         pair = (config.n_out,)
     else:
         pair = ()
-    return {
-        "weights": pair + (config.d_in, config.d_out),
-        "biases": None if mode == "variable_output"
-        else pair + (config.d_cov, config.d_out),
-        "beta_use": pair,
-        "beta_ign": pair,
-    }
-
-
-def learned_shapes(config: RoutingConfig) -> dict[str, tuple[int, ...]]:
-    """The shapes of the fields :meth:`RoutingParams.items` yields for
-    parameters of ``config``, in the same order."""
-    return {name: shape for name, shape in param_shapes(config).items()
-            if shape is not None
-            and not (name == "beta_ign" and config.tie_betas)}
+    shapes = {"weights": pair + (config.d_in, config.d_out)}
+    if mode != "variable_output":
+        shapes["biases"] = pair + (config.d_cov, config.d_out)
+    shapes["beta_use"] = pair
+    if not config.tie_betas:
+        shapes["beta_ign"] = pair
+    return shapes
 
 
 def init_params(config: RoutingConfig, seed: int) -> RoutingParams:
@@ -295,13 +283,13 @@ def init_params(config: RoutingConfig, seed: int) -> RoutingParams:
     return RoutingParams.from_items(
         (name, rng.normal(0.0, std, size=shape) if name == "weights"
          else np.zeros(shape))
-        for name, shape in learned_shapes(config).items())
+        for name, shape in param_shapes(config).items())
 
 
 def param_count(config: RoutingConfig) -> ParamCount:
     """Exact learned-parameter counts for the configured sharing mode."""
     sizes = {name: math.prod(shape)
-             for name, shape in learned_shapes(config).items()}
+             for name, shape in param_shapes(config).items()}
     return ParamCount(weights=sizes["weights"], biases=sizes.get("biases", 0),
                       betas=sizes["beta_use"] + sizes.get("beta_ign", 0))
 
@@ -319,7 +307,6 @@ def compute_votes(params: RoutingParams, caps: CapsuleBatch,
     the sharing mode drops. Variable-output mode has no learned bias and
     requires ``out_bias`` of shape (n_out, d_cov, d_out) to break symmetry.
     """
-    caps = caps.batched()
     poses = T.as_tensor(caps.poses)
     b, n, c, d = poses.shape
     if (c, d) != (config.d_cov, config.d_in):
@@ -488,7 +475,6 @@ def route(params: RoutingParams, caps: CapsuleBatch, config: RoutingConfig,
     of detached per-iteration arrays when ``want_trace`` is set. Raises
     DomainError when the final outputs are not finite.
     """
-    caps = caps.batched()
     votes = compute_votes(params, caps, config, out_bias=out_bias)
     in_scores = T.as_tensor(caps.scores)
     state: RoutingOutput | None = None
@@ -538,7 +524,6 @@ def route_reference(params: RoutingParams, caps: CapsuleBatch,
     def arr(x):
         return np.asarray(T.asarray(x), dtype=np.float64)
 
-    caps = caps.batched()
     scores_in = arr(caps.scores)
     poses_in = arr(caps.poses)
     batch, n_in, d_cov, d_in = poses_in.shape

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from capsem.routing import (CapsuleBatch, RoutingConfig, RoutingParams,
-                            learned_shapes)
+                            param_shapes)
 
 
 def random_config(rng, mode="fixed", tie=False, small=False, n_iters=None):
@@ -32,7 +32,7 @@ def random_config(rng, mode="fixed", tie=False, small=False, n_iters=None):
 def random_params(rng, config, scale=0.5):
     return RoutingParams.from_items(
         (name, rng.normal(0.0, scale, size=shape))
-        for name, shape in learned_shapes(config).items())
+        for name, shape in param_shapes(config).items())
 
 
 def random_caps(rng, config, batch=2, n=None, score_span=3.0):

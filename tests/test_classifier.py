@@ -3,11 +3,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from capsem.classifier import (TrainRegime, _batch_gradients, _mix_batch,
+from capsem.classifier import (TrainRegime, _batch_gradients,
                                build_constellation_classifier, evaluate,
                                train_classifier)
 from capsem.data import ConstellationSpec, make_dataset, to_one_hot
 from capsem.errors import ConfigError
+from capsem.nn import mix_batch
 from capsem.routing import CapsuleBatch, RoutingParams
 
 
@@ -66,7 +67,7 @@ def test_mix_batch_probability_space():
     scores = np.array([[4.0, 0.0, -4.0]])
     poses = rng.normal(size=(1, 3, 2, 2))
     targets = np.array([[1.0, 0.0]])
-    mixed_scores, mixed_poses, mixed_targets = _mix_batch(
+    mixed_scores, mixed_poses, mixed_targets = mix_batch(
         scores, poses, targets, lam=0.5, rng=np.random.default_rng(1))
     # one-sample batch: the shuffled partner is the sample itself
     np.testing.assert_allclose(mixed_scores, scores, atol=1e-9)
@@ -78,9 +79,10 @@ def test_mix_batch_keeps_float32():
     scores = np.array([[4.0, 0.0, -4.0], [1.0, 2.0, 3.0]], dtype=np.float32)
     poses = np.ones((2, 3, 2, 2), dtype=np.float32)
     targets = np.eye(2, dtype=np.float32)
-    mixed = _mix_batch(scores, poses, targets, lam=0.3,
-                       rng=np.random.default_rng(1))
-    assert [a.dtype for a in mixed] == [np.float32] * 3
+    for lam in (0.3, np.float64(0.3)):  # a numpy scalar must not upcast
+        mixed = mix_batch(scores, poses, targets, lam=lam,
+                          rng=np.random.default_rng(1))
+        assert [a.dtype for a in mixed] == [np.float32] * 3
 
 
 def test_regime_validation():

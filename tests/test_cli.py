@@ -8,8 +8,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from capsem.classifier import build_constellation_classifier
 from capsem.cli import main
-from capsem.data import ConstellationSpec, make_dataset, read_capsules
+from capsem.data import (ConstellationSpec, make_dataset, read_capsules,
+                         write_model)
 
 
 def run_cli(*argv, capsys=None):
@@ -427,6 +429,21 @@ def test_bad_counts_exit_2(tmp_path, capsys, argv, bad):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["gen-data", "--n", "5", "--out", "OUT"],
+    ["train", "--epochs", "1", "--out", "OUT"],
+    ["gradcheck"],
+    ["bench", "--grid", "n_in=2;n_out=2", "--reps", "1", "--csv", "OUT"],
+], ids=["gen_data", "train", "gradcheck", "bench"])
+def test_negative_seed_exits_2(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    argv = [str(out) if a == "OUT" else a for a in argv]
+    assert main(argv + ["--seed", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: seed must be an int >= 0\n"
+    assert not out.exists()
+
+
 def test_inspect_reports_sharing_factors(toy_files, capsys):
     _, model, _ = toy_files
     capsys.readouterr()
@@ -460,3 +477,24 @@ def test_usage_error_exits_1():
 def test_missing_file_exits_2(tmp_path):
     assert main(["route", "--model", str(tmp_path / "nope.model"),
                  "--input", str(tmp_path / "nope.caps")]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["route", "--model", "DIR", "--input", "DATA"],
+    ["route", "--model", "MODEL", "--input", "DIR"],
+    ["inspect", "--model", "DIR"],
+    ["gen-data", "--n", "5", "--out", "DIR"],
+    ["gen-data", "--n", "5", "--spec", "DIR", "--out", "OUT"],
+    ["train", "--config", "DIR", "--out", "OUT"],
+], ids=["route_model", "route_input", "inspect_model", "gen_data_out",
+        "gen_data_spec", "train_config"])
+def test_directory_path_exits_2(tmp_path, capsys, argv):
+    model = build_constellation_classifier(4, 4, 5, n_mid=4)
+    write_model(tmp_path / "m.model", model.layers, 5)
+    paths = {"DIR": tmp_path, "MODEL": tmp_path / "m.model",
+             "DATA": tmp_path / "d.caps", "OUT": tmp_path / "out"}
+    assert main([str(paths.get(a, a)) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Is a directory" in err
+    assert "Traceback" not in err
+    assert not paths["OUT"].exists()

@@ -10,7 +10,7 @@ from capsem import data as D
 from capsem.errors import (ConfigError, DataFormatError, DomainError,
                            FormatVersionError, ShapeError)
 from capsem.routing import (LOGIT_MAX, CapsuleBatch, RoutingConfig,
-                            RoutingParams, init_params, learned_shapes)
+                            RoutingParams, init_params, param_shapes)
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +373,7 @@ def _counting_params(config, dtype):
     """Parameters whose values count up through every stored array."""
     start = 0
     items = []
-    for name, shape in learned_shapes(config).items():
+    for name, shape in param_shapes(config).items():
         size = math.prod(shape)
         items.append((name, np.arange(start, start + size, dtype=dtype)
                       .reshape(shape) / 8))
@@ -478,23 +478,22 @@ def test_ingest_embeddings_shapes():
     vectors = rng.normal(size=(10, 64))
     caps = D.ingest_embeddings(vectors, np.ones(10), d_cov=1)
     assert caps.n == 10
-    assert np.asarray(caps.poses).shape == (10, 1, 64)
+    assert np.asarray(caps.poses).shape == (1, 10, 1, 64)
 
 
 def test_ingest_full_mask_saturates_scores():
     vectors = np.random.default_rng(19).normal(size=(4, 8))
     caps = D.ingest_embeddings(vectors, np.ones(4), d_cov=2)
     np.testing.assert_array_equal(np.asarray(caps.scores), LOGIT_MAX)
-    assert np.asarray(caps.poses).shape == (4, 2, 4)
+    assert np.asarray(caps.scores).shape == (1, 4)
+    assert np.asarray(caps.poses).shape == (1, 4, 2, 4)
 
 
 def test_ingest_half_mask_gives_zero_scores():
     vectors = np.random.default_rng(20).normal(size=(3, 6))
     caps = D.ingest_embeddings(vectors, np.array([0.5, 1.0, 0.0]), d_cov=1)
-    scores = np.asarray(caps.scores)
-    assert scores[0] == 0.0
-    assert scores[1] == LOGIT_MAX
-    assert scores[2] == -LOGIT_MAX
+    np.testing.assert_array_equal(np.asarray(caps.scores),
+                                  [[0.0, LOGIT_MAX, -LOGIT_MAX]])
 
 
 @pytest.mark.parametrize("m, d_cov, match", [
@@ -515,7 +514,7 @@ def test_ingest_batched_vectors():
     rng = np.random.default_rng(21)
     vectors = rng.normal(size=(2, 5, 8))
     caps = D.ingest_embeddings(vectors, np.ones((2, 5)), d_cov=2)
-    assert caps.is_batched
+    assert np.asarray(caps.scores).shape == (2, 5)
     assert np.asarray(caps.poses).shape == (2, 5, 2, 4)
 
 

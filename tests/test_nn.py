@@ -183,55 +183,61 @@ def test_cross_entropy_rejects_malformed_targets():
 
 
 # ---------------------------------------------------------------------------
-# mixup
+# mix_batch
 
 
-def test_mixup_endpoint_returns_first_sample():
-    rng = np.random.default_rng(8)
-    a = (rng.normal(size=(3, 2)), np.array([1.0, 0.0]))
-    b = (rng.normal(size=(3, 2)), np.array([0.0, 1.0]))
-    mixed, target = nn.mixup(a, b, lam=1.0)
-    np.testing.assert_array_equal(mixed, a[0])
-    np.testing.assert_array_equal(target, a[1])
+def _batch(rng, size=2):
+    scores = rng.uniform(-3, 3, size=(size, 3))
+    poses = rng.normal(size=(size, 3, 2, 2))
+    targets = rng.dirichlet(np.ones(4), size=size)
+    return scores, poses, targets
 
 
-def test_mixup_midpoint():
-    a = ((np.zeros((2, 2)), np.zeros(3)), np.array([1.0, 0.0]))
-    b = ((np.ones((2, 2)), np.ones(3)), np.array([0.0, 1.0]))
-    (mix_x, mix_m), target = nn.mixup(a, b, lam=0.5)
-    np.testing.assert_array_equal(mix_x, np.full((2, 2), 0.5))
-    np.testing.assert_array_equal(mix_m, np.full(3, 0.5))
-    np.testing.assert_array_equal(target, [0.5, 0.5])
-    assert target.sum() == pytest.approx(1.0, abs=1e-12)
+def test_mix_batch_lam_one_returns_the_batch():
+    scores, poses, targets = _batch(np.random.default_rng(8), size=5)
+    mixed = nn.mix_batch(scores, poses, targets, lam=1.0,
+                         rng=np.random.default_rng(1))
+    # the log-odds round trip of the scores is exact to rounding
+    np.testing.assert_allclose(mixed[0], scores, rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(mixed[1], poses)
+    np.testing.assert_array_equal(mixed[2], targets)
 
 
-def test_mixup_weight_distribution_is_symmetric():
-    rng = np.random.default_rng(9)
-    draws = [nn.draw_mix_weight(rng) for _ in range(100_000)]
-    assert abs(np.mean(draws) - 0.5) < 0.01
+def test_mix_batch_two_sample_midpoint_in_probability_space():
+    scores = np.array([[LOGIT_MAX, 0.0, 2.0], [-LOGIT_MAX, 0.0, -1.0]])
+    poses = np.stack([np.zeros((3, 2, 2)), np.ones((3, 2, 2))])
+    targets = np.eye(2)
+    mixed_scores, mixed_poses, mixed_targets = nn.mix_batch(
+        scores, poses, targets, lam=0.5, rng=np.random.default_rng(3))
+    # seed 3 swaps the two samples, so each is mixed with the other
+    np.testing.assert_array_equal(mixed_targets, [[0.5, 0.5], [0.5, 0.5]])
+    probs = 0.5 * (expit(scores[0]) + expit(scores[1]))
+    expected = np.log(probs) - np.log1p(-probs)
+    for row in range(2):
+        np.testing.assert_allclose(mixed_scores[row], expected, atol=1e-12)
+        np.testing.assert_array_equal(mixed_poses[row], 0.5)
+    # a present and an absent capsule blend to probability 1/2, log-odds 0
+    assert mixed_scores[0, 0] == pytest.approx(0.0, abs=1e-12)
 
 
-def test_mixup_deterministic_given_seed():
-    assert nn.draw_mix_weight(123) == nn.draw_mix_weight(123)
-    rng1, rng2 = np.random.default_rng(123), np.random.default_rng(123)
-    assert [nn.draw_mix_weight(rng1, (0.4, 0.4)) for _ in range(5)] == \
-        [nn.draw_mix_weight(rng2, (0.4, 0.4)) for _ in range(5)]
-
-
-def test_mixup_preserves_simplex():
+def test_mix_batch_targets_stay_on_the_simplex():
     rng = np.random.default_rng(10)
     for _ in range(50):
-        ta = rng.dirichlet(np.ones(5))
-        tb = rng.dirichlet(np.ones(5))
-        _, t = nn.mixup((np.zeros(1), ta), (np.zeros(1), tb),
-                        lam=float(rng.uniform()))
-        assert np.all(t >= 0)
-        assert t.sum() == pytest.approx(1.0, abs=1e-12)
+        scores, poses, targets = _batch(rng, size=6)
+        _, _, mixed = nn.mix_batch(scores, poses, targets,
+                                   lam=float(rng.uniform()), rng=rng)
+        assert np.all(mixed >= 0)
+        np.testing.assert_allclose(mixed.sum(axis=1), 1.0, atol=1e-12)
 
 
-def test_mixup_shape_mismatch():
-    with pytest.raises(ShapeError):
-        nn.mixup((np.zeros(3), np.ones(2)), (np.zeros(4), np.ones(2)), lam=0.5)
+def test_mix_batch_deterministic_given_rng():
+    scores, poses, targets = _batch(np.random.default_rng(11), size=8)
+    first = nn.mix_batch(scores, poses, targets, 0.3,
+                         np.random.default_rng(123))
+    second = nn.mix_batch(scores, poses, targets, 0.3,
+                          np.random.default_rng(123))
+    for a, b in zip(first, second, strict=True):
+        np.testing.assert_array_equal(a, b)
 
 
 # ---------------------------------------------------------------------------

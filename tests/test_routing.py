@@ -9,8 +9,8 @@ from capsem import routing as R
 from capsem.errors import ConfigError, DomainError, ShapeError
 from capsem.routing import (CapsuleBatch, LOGIT_MAX, RoutingConfig,
                             RoutingParams, compute_votes, d_step, e_step,
-                            init_params, m_step, param_count, route,
-                            route_reference)
+                            init_params, m_step, param_count, param_shapes,
+                            route, route_reference)
 from conftest import (random_caps, random_config, random_instance,
                       random_out_bias, random_params)
 
@@ -53,6 +53,20 @@ def test_init_tied_betas_share_storage():
     p = init_params(cfg, seed=0)
     assert p.beta_ign is p.beta_use
     assert p.tied
+
+
+def test_param_shapes_lists_exactly_the_fields_items_yields():
+    dims = dict(d_cov=2, d_in=3, d_out=4)
+    fixed = RoutingConfig(n_out=5, n_in=2, **dims)
+    assert list(param_shapes(fixed).items()) == [
+        ("weights", (2, 5, 3, 4)), ("biases", (2, 5, 2, 4)),
+        ("beta_use", (2, 5)), ("beta_ign", (2, 5))]
+    tied_out = RoutingConfig(n_out="variable", tie_betas=True, **dims)
+    assert param_shapes(tied_out) == {"weights": (3, 4), "beta_use": ()}
+    for cfg in (fixed, tied_out, RoutingConfig(n_out=5, **dims)):
+        assert [(name, np.shape(value)) for name, value
+                in init_params(cfg, 0).items()] \
+            == list(param_shapes(cfg).items())
 
 
 # ---------------------------------------------------------------------------
@@ -498,11 +512,30 @@ def test_route_unbatched_caps_are_lifted():
     p = random_params(rng, cfg)
     scores = rng.normal(size=3)
     poses = rng.normal(size=(3, 2, 2))
-    out = route(p, CapsuleBatch(scores, poses), cfg)
+    caps = CapsuleBatch(scores, poses)
+    # a single sample is stored as a batch of one
+    assert np.asarray(caps.scores).shape == (1, 3)
+    assert np.asarray(caps.poses).shape == (1, 3, 2, 2)
+    assert caps.n == 3 and caps.batched() is caps
+    out = route(p, caps, cfg)
     assert out.scores.shape == (1, 2)
 
     batched = route(p, CapsuleBatch(scores[None], poses[None]), cfg)
     np.testing.assert_array_equal(out.scores.data, batched.scores.data)
+
+    # tracked tensors are lifted on their tape, so gradients reach the
+    # unbatched leaves
+    tape = T.Tape()
+    s_leaf, p_leaf = tape.leaf(scores), tape.leaf(poses)
+    tracked = CapsuleBatch(s_leaf, p_leaf)
+    assert tracked.scores.shape == (1, 3)
+    assert tracked.poses.shape == (1, 3, 2, 2)
+    assert tracked.scores.tape is tape and tracked.poses.tape is tape
+    out = route(p, tracked, cfg)
+    np.testing.assert_array_equal(out.scores.data, batched.scores.data)
+    grads = T.backward(tape, T.reduce_sum(out.scores))
+    assert grads[s_leaf.node].shape == (3,)
+    assert grads[p_leaf.node].shape == (3, 2, 2)
 
 
 # ---------------------------------------------------------------------------
