@@ -2,8 +2,8 @@
 checking, benchmarking, and model inspection.
 
 Exit codes: 0 success, 1 usage error, 2 data/format error, 3 failed
-numeric check. All commands honor --seed and are run-to-run
-deterministic.
+numeric check. gen-data, train, gradcheck and bench take --seed; route
+and inspect take none. Every command is run-to-run deterministic.
 """
 
 from __future__ import annotations

@@ -439,14 +439,15 @@ def _stored_batch(scores, poses) -> CapsuleBatch:
 
 def _read_capsules_json(path):
     doc = _load_caps_json(path, "capsule_batch")
-    scores = _json_array(doc, "scores")
-    batch = _stored_batch(scores, _json_array(doc, "poses"))
+    batch = _stored_batch(_json_array(doc, "scores"),
+                          _json_array(doc, "poses"))
     labels = None
     if "labels" in doc:
         if not (isinstance(doc["labels"], list)
                 and all(is_count(v, 0) for v in doc["labels"])):
             raise DataFormatError("'labels' must be non-negative integers")
-        labels = _json_array(doc, "labels", scores.shape[:-1], np.int64)
+        # one label per stored sample: an unbatched sample is a batch of one
+        labels = _json_array(doc, "labels", batch.scores.shape[:1], np.int64)
     return batch, labels
 
 

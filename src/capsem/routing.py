@@ -18,7 +18,9 @@ mean and variance are fused ops built on :func:`capsem.tensor.record`:
 each computes its formula in numpy and records one tape node with a
 closed-form VJP, where a composition of generic ops would record, and
 keep a 5-D (batch, n_in, n_out, d_cov, d_out) temporary for, each
-elementwise step.
+elementwise step. In :func:`route`, the squared deviations (v - mu)^2
+that an M-step fits its variances from feed the next E-step's
+log-density, which drops them once used.
 
 Three parameter-sharing modes exist:
 
@@ -334,9 +336,18 @@ def compute_votes(params: RoutingParams, caps: CapsuleBatch,
     return T.add(base, bias)
 
 
-def _log_density(votes: Tensor, state: RoutingOutput) -> Tensor:
+def _squared_deviations(v: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """(v - mu)^2 of 5-D votes about 4-D output means, in one buffer."""
+    sq = v - mu[:, None]
+    sq *= sq
+    return sq
+
+
+def _log_density(votes: Tensor, state: RoutingOutput,
+                 sq: np.ndarray | None = None) -> Tensor:
     """Log of each output's Gaussian density at each input's votes,
     summed over the d_cov x d_out components: shape (batch, n_in, n_out).
+    ``sq``, if given, is (v - mu)^2 as :func:`_squared_deviations` gives.
 
     One tape node over the votes, means and variances. With d = v - mu,
     the VJPs of an output gradient g are dv = -g d / var,
@@ -345,8 +356,8 @@ def _log_density(votes: Tensor, state: RoutingOutput) -> Tensor:
     stays in the (v - mu)^2 form, which does not cancel.
     """
     v, mu, var = votes.data, state.poses.data, state.variances.data
-    sq = v - mu[:, None]
-    sq *= sq
+    if sq is None:
+        sq = _squared_deviations(v, mu)
     log_norm = np.log(_TWO_PI * var).sum(axis=(2, 3))
     quad = np.einsum("bijch,bjch->bij", sq, 0.5 / var)
     out = -0.5 * log_norm[:, None] - quad
@@ -381,6 +392,12 @@ def e_step(votes: Tensor, state: RoutingOutput | None,
     j's Gaussian, the log-space form of the activation-weighted density
     ratio.
     """
+    return _e_step(votes, state, first_iter, None)
+
+
+def _e_step(votes: Tensor, state: RoutingOutput | None, first_iter: bool,
+            sq: np.ndarray | None) -> Tensor:
+    """:func:`e_step`, scoring with ``sq`` (see :func:`_log_density`)."""
     b, i, j = votes.shape[:3]
     if first_iter:
         dt = votes.dtype
@@ -389,7 +406,7 @@ def e_step(votes: Tensor, state: RoutingOutput | None,
         raise ValueError("state is required after the first iteration")
     if np.any(state.variances.data <= 0):
         raise DomainError("output variances must be strictly positive")
-    return _assignment_probs(_log_density(votes, state), state.scores)
+    return _assignment_probs(_log_density(votes, state, sq), state.scores)
 
 
 def d_step(in_scores, probs: Tensor) -> tuple[Tensor, Tensor]:
@@ -421,8 +438,9 @@ def _weighted_mean(used: Tensor, votes: Tensor, denom: Tensor) -> Tensor:
 
 
 def _weighted_variance(used: Tensor, votes: Tensor, mean: Tensor,
-                       denom: Tensor, floor: float) -> Tensor:
-    """sum_i u_ij (v_ij - mu_j)^2 / denom_j + floor as one tape node.
+                       denom: Tensor, floor: float, sq: np.ndarray) -> Tensor:
+    """sum_i u_ij (v_ij - mu_j)^2 / denom_j + floor as one tape node, from
+    ``sq`` = (v - mu)^2 as :func:`_squared_deviations` gives it.
 
     With d = v - mu, G = g / denom and s the result less the floor, the
     VJPs are du = sum_ch G d^2, dv = 2 u G d, dmu = -sum_i dv and
@@ -430,8 +448,6 @@ def _weighted_variance(used: Tensor, votes: Tensor, mean: Tensor,
     """
     u, v, mu = used.data, votes.data, mean.data
     dn = denom.data[..., None, None]
-    sq = v - mu[:, None]
-    sq *= sq
     spread = np.einsum("bij,bijch->bjch", u, sq) / dn
 
     def vjp(g):
@@ -454,6 +470,13 @@ def m_step(votes: Tensor, used: Tensor, ignored: Tensor,
     ignored share with beta_ign, summed over inputs. Means and variances
     are the used-share-weighted moments of the votes.
     """
+    return _m_step(votes, used, ignored, params, config)[0]
+
+
+def _m_step(votes: Tensor, used: Tensor, ignored: Tensor,
+            params: RoutingParams, config: RoutingConfig
+            ) -> tuple[RoutingOutput, np.ndarray]:
+    """:func:`m_step` and its (v - mu)^2, for the next E-step."""
     beta_use = T.as_tensor(params.beta_use)
     beta_ign = T.as_tensor(params.beta_ign)
     contrib = T.sub(T.mul(used, beta_use), T.mul(ignored, beta_ign))
@@ -461,9 +484,10 @@ def m_step(votes: Tensor, used: Tensor, ignored: Tensor,
 
     denom = T.add(T.reduce_sum(used, axes=1), config.denom_eps)
     poses = _weighted_mean(used, votes, denom)
+    sq = _squared_deviations(votes.data, poses.data)
     variances = _weighted_variance(used, votes, poses, denom,
-                                   config.var_floor)
-    return RoutingOutput(scores, poses, variances)
+                                   config.var_floor, sq)
+    return RoutingOutput(scores, poses, variances), sq
 
 
 def route(params: RoutingParams, caps: CapsuleBatch, config: RoutingConfig,
@@ -477,12 +501,13 @@ def route(params: RoutingParams, caps: CapsuleBatch, config: RoutingConfig,
     """
     votes = compute_votes(params, caps, config, out_bias=out_bias)
     in_scores = T.as_tensor(caps.scores)
-    state: RoutingOutput | None = None
+    state, sq = None, None
     steps: list[IterationTrace] = []
     for it in range(config.n_iters):
-        probs = e_step(votes, state, first_iter=(it == 0))
+        probs = _e_step(votes, state, it == 0, sq)
+        sq = None  # free it before the M-step allocates the next
         used, ignored = d_step(in_scores, probs)
-        state = m_step(votes, used, ignored, params, config)
+        state, sq = _m_step(votes, used, ignored, params, config)
         if want_trace:
             steps.append(IterationTrace(
                 probs=np.array(probs.data, copy=True),

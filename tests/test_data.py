@@ -126,6 +126,24 @@ def test_capsule_file_json_round_trip(tmp_path):
     np.testing.assert_array_equal(back.poses, np.asarray(batch.poses))
 
 
+def test_capsule_file_json_unbatched_sample_takes_one_label(tmp_path):
+    # one unbatched sample is stored as a batch of one, so it takes one label
+    path = tmp_path / "one.json"
+    D.write_capsules(path, CapsuleBatch(np.zeros((1, 2)),
+                                        np.zeros((1, 2, 1, 1))), [3])
+    doc = json.loads(path.read_text())
+    doc["scores"], doc["poses"] = [0.5, 1.0], doc["poses"][0]
+    path.write_text(json.dumps(doc))
+    back, labels = D.read_capsules(path)
+    np.testing.assert_array_equal(back.scores, [[0.5, 1.0]])
+    assert back.poses.shape == (1, 2, 1, 1)
+    np.testing.assert_array_equal(labels, [3])
+    doc["labels"] = [3, 4]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(DataFormatError, match="expected \\(1,\\)"):
+        D.read_capsules(path)
+
+
 @pytest.mark.parametrize("field,value,message", [
     ("labels", [-1, 0], "non-negative integers"),
     ("labels", [1.5, 0], "non-negative integers"),

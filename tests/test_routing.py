@@ -330,8 +330,9 @@ FUSED_OPS = {
         lambda x: _composed_mean(x["used"], x["votes"], x["denom"]),
         ("used", "votes", "denom")),
     "weighted_variance": (
-        lambda x: R._weighted_variance(x["used"], x["votes"], x["mean"],
-                                       x["denom"], 0.01),
+        lambda x: R._weighted_variance(
+            x["used"], x["votes"], x["mean"], x["denom"], 0.01,
+            R._squared_deviations(x["votes"].data, x["mean"].data)),
         _composed_variance, ("used", "votes", "mean", "denom")),
 }
 
@@ -416,6 +417,48 @@ def test_route_single_iteration_equals_m_step_of_uniform():
     expected = m_step(votes, used, ignored, p, cfg)
     np.testing.assert_array_equal(out.scores.data, expected.scores.data)
     np.testing.assert_array_equal(out.poses.data, expected.poses.data)
+
+
+@pytest.mark.parametrize("tracked", [False, True],
+                         ids=["untracked", "tracked"])
+@pytest.mark.parametrize("tie", [False, True], ids=["untied", "tied"])
+@pytest.mark.parametrize("mode", R.MODES)
+def test_route_equals_its_public_phases_bit_for_bit(mode, tie, tracked):
+    # route() hands each M-step's squared deviations to the next E-step;
+    # the public phases compute them afresh and must give the same bits
+    rng = np.random.default_rng(17)
+    cfg, p, caps, out_bias = random_instance(rng, mode=mode, tie=tie,
+                                             batch=3, n_iters=3)
+
+    def run(fn):
+        tape = T.Tape()
+        params, batch = (p.tracked(tape), caps.tracked(tape)) if tracked \
+            else (p, caps)
+        out = fn(params, batch)
+        values = [getattr(out, name).data
+                  for name in ("scores", "poses", "variances")]
+        if tracked:
+            loss = T.add(T.reduce_sum(T.square(out.scores)),
+                         T.reduce_sum(T.mul(out.poses, out.variances)))
+            values += [g for _, g in sorted(T.backward(tape, loss).items())]
+        return values
+
+    def phases(params, batch):
+        votes = compute_votes(params, batch, cfg, out_bias=out_bias)
+        state = None
+        for it in range(cfg.n_iters):
+            probs = e_step(votes, state, first_iter=(it == 0))
+            used, ignored = d_step(batch.scores, probs)
+            state = m_step(votes, used, ignored, params, cfg)
+        return state
+
+    routed = run(lambda params, batch: route(params, batch, cfg,
+                                             out_bias=out_bias))
+    composed = run(phases)
+    leaves = len(list(p.items())) + 2 if tracked else 0
+    assert len(routed) == len(composed) == 3 + leaves
+    for a, b in zip(routed, composed):
+        assert np.array_equal(a, b)
 
 
 def test_route_is_deterministic():

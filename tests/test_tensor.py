@@ -130,6 +130,27 @@ def test_logsumexp_finite_for_finite_inputs():
         assert np.all(np.isfinite(out.data))
 
 
+@pytest.mark.parametrize("scale", [1.0, 100.0, 700.0])
+def test_logsumexp_matches_scipy(scale):
+    from scipy.special import logsumexp as reference
+    x = np.random.default_rng(5).normal(scale=scale, size=(6, 7, 5))
+    for axes in (1, (0, 2), None):
+        for keepdims in (False, True):
+            out = T.logsumexp(T.tensor(x), axes=axes, keepdims=keepdims)
+            np.testing.assert_allclose(
+                out.data, reference(x, axis=axes, keepdims=keepdims),
+                rtol=1e-13, atol=0, err_msg=f"axes={axes}")
+
+
+def test_logsumexp_keeps_float32():
+    tape = T.Tape()
+    x = tape.leaf(np.random.default_rng(6).normal(size=(4, 5))
+                  .astype(np.float32))
+    out = T.logsumexp(x, axes=1)
+    assert out.dtype == np.float32
+    assert T.backward(tape, T.reduce_sum(out))[x.node].dtype == np.float32
+
+
 def test_reduce_sum_matches_loop_oracle():
     rng = np.random.default_rng(4)
     x = rng.normal(size=(4, 5))
@@ -366,6 +387,39 @@ def test_contract_matches_einsum_on_random_specs():
         spec = f"{''.join(a_idx)},{''.join(b_idx)}->{''.join(out)}"
         _check_against_einsum(spec, rng.normal(size=[ext[i] for i in a_idx]),
                               rng.normal(size=[ext[i] for i in b_idx]), rng)
+
+
+def test_contract_matches_einsum_when_output_ends_in_row_and_column():
+    # out = leading indexes (batch, or kept on one operand only) in an
+    # order that differs from batch + a-kept + b-kept, then (row of a,
+    # column of b) around one summed index: the layout that broadcasting
+    # np.matmul writes in place
+    rng = np.random.default_rng(35)
+    roles = ("batch", "a_lead", "b_lead")
+    checked = 0
+    while checked < 40:
+        letters = iter("abcdefghijklmnop")
+        named = {r: [next(letters) for _ in range(rng.integers(0, 3))]
+                 for r in roles}
+        s, r, k = next(letters), next(letters), next(letters)
+        lead = named["batch"] + named["a_lead"] + named["b_lead"]
+        rng.shuffle(lead)
+        out = lead + [r, k]
+        a_kept = [i for i in out if i in named["a_lead"] or i == r]
+        b_kept = [i for i in out if i in named["b_lead"] or i == k]
+        if named["batch"] + a_kept + b_kept == out:
+            continue  # already in matmul order: no transposing copy to skip
+        a_idx = named["batch"] + named["a_lead"] + [r, s]
+        b_idx = named["batch"] + named["b_lead"] + [s, k]
+        for idx in (a_idx, b_idx):
+            rng.shuffle(idx)
+        ext = {i: int(rng.integers(1, 5)) for i in a_idx + b_idx}
+        spec = f"{''.join(a_idx)},{''.join(b_idx)}->{''.join(out)}"
+        ga, gb = _check_against_einsum(
+            spec, rng.normal(size=[ext[i] for i in a_idx]),
+            rng.normal(size=[ext[i] for i in b_idx]), rng)
+        assert ga.flags.c_contiguous and gb.flags.c_contiguous, spec
+        checked += 1
 
 
 @pytest.mark.parametrize("spec", ["bicd,jdh->bijch", "bij,bijch->bjch"])
