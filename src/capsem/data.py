@@ -347,7 +347,17 @@ def _write_json(path, kind: str, fields: dict) -> None:
 
 def write_capsules(path, batch: CapsuleBatch, labels=None) -> None:
     """Write a capsule batch (binary ``CAPS`` container, or JSON if the
-    path ends in .json)."""
+    path ends in .json). ``labels``, if given, hold one non-negative
+    integer below 2**32 per sample: ShapeError or DomainError otherwise,
+    before any file is opened."""
+    if labels is not None:
+        labels = np.asarray(labels)
+        b = T.asarray(batch.poses).shape[0]
+        if labels.shape != (b,):
+            raise ShapeError(f"labels must have shape ({b},), got {labels.shape}")
+        if labels.size and (labels.dtype.kind not in "iu" or not np.all(
+                (labels >= 0) & (labels < 2 ** 32))):
+            raise DomainError("labels must be integers in [0, 2**32)")
     if str(path).endswith(".json"):
         _write_capsules_json(path, batch, labels)
         return
@@ -359,9 +369,6 @@ def write_capsules(path, batch: CapsuleBatch, labels=None) -> None:
     parts = [struct.pack("<B4I", labels is not None, b, n, d_cov, d_in),
              scores.astype(le).tobytes(), poses.astype(le).tobytes()]
     if labels is not None:
-        labels = np.asarray(labels)
-        if labels.shape != (b,):
-            raise ShapeError(f"labels must have shape ({b},), got {labels.shape}")
         parts.append(labels.astype("<u4").tobytes())
     _write_file(path, _KIND_BATCH, code, *parts)
 
@@ -388,7 +395,7 @@ def _write_capsules_json(path, batch, labels) -> None:
     fields = {"scores": T.asarray(batch.scores).tolist(),
               "poses": T.asarray(batch.poses).tolist()}
     if labels is not None:
-        fields["labels"] = np.asarray(labels).tolist()
+        fields["labels"] = labels.tolist()
     _write_json(path, "capsule_batch", fields)
 
 
@@ -474,7 +481,7 @@ def _stored_config(meta: dict) -> RoutingConfig:
     DataFormatError if a field is missing or RoutingConfig rejects it."""
     try:
         dims = meta["dims"]
-        return mode_config(
+        config = mode_config(
             meta["mode"], dims["n_in"], dims["n_out"], d_cov=dims["d_cov"],
             d_in=dims["d_in"], d_out=dims["d_out"], n_iters=meta["n_iters"],
             tie_betas=meta["tie_betas"], var_floor=meta["var_floor"],
@@ -486,6 +493,11 @@ def _stored_config(meta: dict) -> RoutingConfig:
             from None
     except ConfigError as e:
         raise DataFormatError(f"invalid {meta['mode']} layer: {e}") from None
+    for name, value in _layer_meta(config)["dims"].items():
+        if value == 0 and not (type(dims[name]) is int and dims[name] == 0):
+            raise DataFormatError(f"{config.mode} layer stores {name}="
+                                  f"{dims[name]!r}; an unused dim is 0")
+    return config
 
 
 # the key layout of _layer_meta, whose values a binary layer record holds

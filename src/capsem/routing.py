@@ -13,14 +13,14 @@ are computed once per call; the loop then alternates three phases:
           shares it uses.
 
 Every phase records tape ops, so gradients flow through every iteration
-of the loop. The E-step's Gaussian log-density and the M-step's weighted
-mean and variance are fused ops built on :func:`capsem.tensor.record`:
-each computes its formula in numpy and records one tape node with a
-closed-form VJP, where a composition of generic ops would record, and
-keep a 5-D (batch, n_in, n_out, d_cov, d_out) temporary for, each
-elementwise step. In :func:`route`, the squared deviations (v - mu)^2
-that an M-step fits its variances from feed the next E-step's
-log-density, which drops them once used.
+of the loop. The votes, the E-step's Gaussian log-density and the
+M-step's weighted mean and variance are fused ops built on
+:func:`capsem.tensor.record`: each computes its formula in numpy and
+records one tape node with a closed-form VJP, where a composition of
+generic ops would record, and keep a 5-D (batch, n_in, n_out, d_cov,
+d_out) temporary for, each step. In :func:`route`, the squared
+deviations (v - mu)^2 that an M-step fits its variances from feed the
+next E-step's log-density, which drops them once used.
 
 Three parameter-sharing modes exist:
 
@@ -304,10 +304,10 @@ def compute_votes(params: RoutingParams, caps: CapsuleBatch,
                   config: RoutingConfig, out_bias=None) -> Tensor:
     """Per-pair predictions V of shape (batch, n_in, n_out, d_cov, d_out).
 
-    Contracts poses with the weights over the input-property axis and adds
-    the bias; weights/biases broadcast over whichever of the pair indexes
-    the sharing mode drops. Variable-output mode has no learned bias and
-    requires ``out_bias`` of shape (n_out, d_cov, d_out) to break symmetry.
+    Poses times weights over the input-property axis, plus the bias, as
+    one tape node; weights/biases broadcast over whichever of the pair
+    indexes the sharing mode drops. Variable-output mode has no learned
+    bias and requires ``out_bias`` of shape (n_out, d_cov, d_out).
     """
     poses = T.as_tensor(caps.poses)
     b, n, c, d = poses.shape
@@ -316,24 +316,40 @@ def compute_votes(params: RoutingParams, caps: CapsuleBatch,
                          f"expects {(config.d_cov, config.d_in)}")
     if config.n_in not in (None, n):
         raise ShapeError(f"expected n_in={config.n_in} capsules, found {n}")
+    for name, shape in param_shapes(config).items():
+        found = np.shape(T.asarray(getattr(params, name)))
+        if name in ("weights", "biases") and found != shape:
+            raise ShapeError(f"{name} have shape {found}, not the "
+                             f"{config.mode} layout {shape}")
     weights = T.as_tensor(params.weights)
+    pd, wd = poses.data, weights.data
     if config.mode != "variable_output":
-        pair = "ij" if config.mode == "fixed" else "j"
-        votes = T.contract(poses, weights, f"bicd,{pair}dh->bijch")
-        return T.add(votes, T.as_tensor(params.biases))
-    if out_bias is None:
+        bias = T.as_tensor(params.biases)
+        base = np.matmul(pd[:, :, None], wd)
+    elif out_bias is None:
         raise ConfigError(
             "variable-output mode needs a per-output symmetry-breaking bias"
         )
-    bias = T.as_tensor(out_bias)
-    if bias.ndim != 3 or bias.shape[1:] != (config.d_cov, config.d_out):
-        raise ShapeError(
-            f"out_bias must have shape (n_out, {config.d_cov}, {config.d_out}),"
-            f" got {bias.shape}"
-        )
-    base = T.contract(poses, weights, "bicd,dh->bich")
-    base = T.reshape(base, (b, n, 1, config.d_cov, config.d_out))
-    return T.add(base, bias)
+    else:
+        bias = T.as_tensor(out_bias)
+        if bias.ndim != 3 or bias.shape[1:] != (c, config.d_out):
+            raise ShapeError(
+                f"out_bias must have shape (n_out, {c}, {config.d_out}),"
+                f" got {bias.shape}"
+            )
+        # one (b n c, d) @ (d, h) product, for an output axis of length 1
+        base = (pd.reshape(-1, d) @ wd).reshape(b, n, 1, c, config.d_out)
+        wd = wd[None]
+    w_spec = "ijdh" if config.mode == "fixed" else "jdh"
+    base_shape, bias_shape, w_shape = base.shape, bias.shape, weights.shape
+
+    def vjp(g):
+        g_base = T._unbroadcast(g, base_shape)
+        return (T._product(g_base, "bijch", wd, w_spec, "bicd"),
+                T._product(g_base, "bijch", pd, "bicd", w_spec)
+                .reshape(w_shape), T._unbroadcast(g, bias_shape))
+
+    return T.record(base + bias.data, (poses, weights, bias), vjp)
 
 
 def _squared_deviations(v: np.ndarray, mu: np.ndarray) -> np.ndarray:

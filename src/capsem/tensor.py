@@ -18,9 +18,7 @@ neither broadcasts nor sums an index that only one operand carries.
 A contraction, forward or in either gradient, runs as one batched BLAS
 ``np.matmul`` when it is a matrix product (a summed shared index and a
 kept index on each operand) and as ``np.einsum`` otherwise; the choice
-reads the signature alone, and results are C-contiguous. A matrix
-product whose output ends in (row, column) around one summed index is
-written in output order by a broadcasting ``np.matmul``, not transposed.
+reads the signature alone, and results are C-contiguous.
 
 Values are immutable once wrapped in a :class:`Tensor`; a :class:`Tape` is
 single-threaded and append-only, so replaying the same graph on the same
@@ -348,12 +346,8 @@ def _product(x: np.ndarray, x_spec: str, y: np.ndarray, y_spec: str,
     A matrix product, one with a summed shared index and a kept index on
     each side, runs as one batched ``np.matmul``: shared kept indexes
     form the batch, and each operand is laid out as (batch, M, K) or
-    (batch, K, N). If ``out`` ends in (row of x, column of y) around one
-    summed index but is not in that order, as in ``bicd,jdh->bijch``, its
-    leading indexes form the batch instead (extent 1 on an operand that
-    lacks one), and ``np.matmul`` broadcasts straight into ``out``. Any
-    other product stays on ``np.einsum``. Either way the result is
-    C-contiguous in ``out``'s order.
+    (batch, K, N). Any other product stays on ``np.einsum``. Either way
+    the result is C-contiguous in ``out``'s order.
     """
     summed = [i for i in x_spec if i in y_spec and i not in out]
     x_kept = [i for i in out if i in x_spec and i not in y_spec]
@@ -363,23 +357,16 @@ def _product(x: np.ndarray, x_spec: str, y: np.ndarray, y_spec: str,
         return res if res.flags.c_contiguous else res.copy()
     extents = dict(zip(x_spec, x.shape)) | dict(zip(y_spec, y.shape))
     batch = [i for i in out if i in x_spec and i in y_spec]
-    order = batch + x_kept + y_kept
 
-    def as_matrices(arr, spec, lead, rows, cols):
-        arr = arr.transpose([spec.index(i) for i in lead + rows + cols
-                             if i in spec])
-        return arr.reshape([extents[i] if i in spec else 1 for i in lead]
+    def as_matrices(arr, spec, rows, cols):
+        arr = arr.transpose([spec.index(i) for i in batch + rows + cols])
+        return arr.reshape([extents[i] for i in batch]
                            + [math.prod(extents[i] for i in rows),
                               math.prod(extents[i] for i in cols)])
 
-    if (order != list(out) and len(summed) == 1
-            and out[-2] in x_kept and out[-1] in y_kept):
-        lead = list(out[:-2])
-        return np.matmul(as_matrices(x, x_spec, lead, [out[-2]], summed),
-                         as_matrices(y, y_spec, lead, summed, [out[-1]]),
-                         order="C")
-    prod = np.matmul(as_matrices(x, x_spec, batch, x_kept, summed),
-                     as_matrices(y, y_spec, batch, summed, y_kept))
+    prod = np.matmul(as_matrices(x, x_spec, x_kept, summed),
+                     as_matrices(y, y_spec, summed, y_kept))
+    order = batch + x_kept + y_kept
     prod = prod.reshape([extents[i] for i in order])
     return np.ascontiguousarray(prod.transpose([order.index(i) for i in out]))
 
@@ -394,8 +381,7 @@ def contract(a, b, spec: str) -> Tensor:
 
     The forward product and both gradient products run as one batched
     ``np.matmul`` when they are matrix products (a summed shared index and
-    a kept index on each side) and through ``np.einsum`` otherwise, in
-    output order without a transposing copy where :func:`_product` can.
+    a kept index on each side) and through ``np.einsum`` otherwise.
     """
     a, b = _coerce_pair(a, b)
     a_spec, b_spec, out = _parse_contract_spec(spec)

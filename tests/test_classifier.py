@@ -1,3 +1,4 @@
+import gc
 import tracemalloc
 
 import numpy as np
@@ -132,6 +133,24 @@ def test_float32_model_gets_float32_gradients(small_data):
     assert list(grads) == list(model.param_dict())
     for name, g in grads.items():
         assert g.dtype == np.float32, name
+
+
+def test_training_step_and_prediction_leave_no_reference_cycles(small_data):
+    # a VJP closure that holds a Tensor ties its tape into a cycle that
+    # only the garbage collector frees, which raises peak memory
+    spec, (tc, tl), _ = small_data
+    model = build_constellation_classifier(spec.d_cov, spec.d_in,
+                                           spec.n_classes, seed=0)
+    scores, poses = np.asarray(tc.scores)[:20], np.asarray(tc.poses)[:20]
+    targets = to_one_hot(np.asarray(tl)[:20], spec.n_classes)
+    gc.collect()
+    gc.disable()
+    try:
+        _batch_gradients(model, scores, poses, targets)
+        model.predict_proba(CapsuleBatch(scores, poses))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_evaluate_on_empty_set(small_data):

@@ -164,6 +164,26 @@ def test_capsule_file_json_rejects_bad_values(tmp_path, field, value,
         D.read_capsules(path)
 
 
+@pytest.mark.parametrize("suffix", [".caps", ".json"])
+@pytest.mark.parametrize("labels, error", [
+    ([-1, 2], DomainError),
+    ([1.7, 0.2], DomainError),
+    ([0, 2 ** 32], DomainError),
+    ([True, False], DomainError),
+    ([0, 1, 2], ShapeError),
+    ([[0, 1]], ShapeError),
+], ids=["negative", "fractional", "too_large", "bool", "one_too_many",
+        "nested"])
+def test_capsule_writer_rejects_labels_its_reader_would_not_return(
+        tmp_path, suffix, labels, error):
+    # binary labels are u32: -1 would read back as 4294967295 and 1.7 as 1
+    batch = CapsuleBatch(np.zeros((2, 2)), np.zeros((2, 2, 1, 1)))
+    path = tmp_path / f"batch{suffix}"
+    with pytest.raises(error, match="labels"):
+        D.write_capsules(path, batch, labels)
+    assert not path.exists()
+
+
 def test_capsule_file_rejects_bad_magic(tmp_path):
     path = tmp_path / "bad.caps"
     rng = np.random.default_rng(13)
@@ -385,6 +405,45 @@ def test_layer_record_with_rejected_dims_is_a_format_error(tmp_path, reader):
         path.write_bytes(bytes(blob))
         with pytest.raises(DataFormatError, match=name):
             read(path)
+
+
+@pytest.mark.parametrize("cfg, dim, offset", [
+    (_LAYOUTS[2], "n_in", 2),
+    (_LAYOUTS[3], "n_in", 2),
+    (_LAYOUTS[3], "n_out", 2 + 4),
+], ids=["variable_input_n_in", "variable_output_n_in",
+        "variable_output_n_out"])
+def test_layer_record_rejects_a_nonzero_unused_dim(tmp_path, cfg, dim,
+                                                    offset):
+    path = tmp_path / "layer.caps"
+    D.write_params(path, init_params(cfg, seed=0), cfg)
+    blob = bytearray(path.read_bytes())
+    # the dims are the u32s after the 8-byte header and 2 mode/tie bytes
+    blob[8 + offset:8 + offset + 4] = struct.pack("<I", 7)
+    path.write_bytes(bytes(blob))
+    with pytest.raises(DataFormatError, match=f"{dim}=7"):
+        D.read_params(path)
+
+
+@pytest.mark.parametrize("cfg, dim, value", [
+    (_LAYOUTS[2], "n_in", 7),
+    (_LAYOUTS[2], "n_in", "x"),
+    (_LAYOUTS[2], "n_in", 0.0),
+    (_LAYOUTS[2], "n_in", False),
+    (_LAYOUTS[3], "n_in", 7),
+    (_LAYOUTS[3], "n_out", 3),
+], ids=["variable_input_n_in", "variable_input_n_in_text",
+        "variable_input_n_in_float", "variable_input_n_in_bool",
+        "variable_output_n_in", "variable_output_n_out"])
+def test_params_json_rejects_a_nonzero_unused_dim(tmp_path, cfg, dim, value):
+    path = tmp_path / "params.json"
+    D.write_params(path, init_params(cfg, seed=0), cfg)
+    doc = json.loads(path.read_text())
+    assert doc["dims"][dim] == 0
+    doc["dims"][dim] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(DataFormatError, match=f"{dim}={value!r}"):
+        D.read_params(path)
 
 
 def _counting_params(config, dtype):

@@ -1,4 +1,4 @@
-"""The fast demos run to completion.
+"""The fast demos run to completion, with RuntimeWarnings as errors.
 
 Demo 02 is left out: it is the criterion-9 training run, which the
 acceptance suite already runs.
@@ -24,7 +24,8 @@ def test_demo_runs(tmp_path, demo):
     path = os.pathsep.join(filter(None, [str(_ROOT / "src"),
                                          os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
-        [sys.executable, str(_ROOT / "demos" / demo)], cwd=tmp_path,
+        [sys.executable, "-W", "error::RuntimeWarning",
+         str(_ROOT / "demos" / demo)], cwd=tmp_path,
         env={**os.environ, "PYTHONPATH": path}, capture_output=True,
         text=True, timeout=120)
     assert result.returncode == 0, result.stderr

@@ -127,6 +127,55 @@ def test_votes_variable_output_requires_bias():
     assert v.shape == (1, 4, 3, 2, 2)
 
 
+@pytest.mark.parametrize("mode", R.MODES)
+def test_votes_are_one_node_equal_to_their_generic_composition(mode):
+    # d_cov and d_out above 1: a pose product with one row or one column
+    # is a matrix-vector product in numpy, whose rounding may differ from
+    # the matrix product that contract runs
+    rng = np.random.default_rng(36)
+    cfg = R.mode_config(mode, 3, 4, d_cov=2, d_in=3, d_out=2)
+    p = random_params(rng, cfg)
+    caps = random_caps(rng, cfg, batch=3)
+    out_bias = random_out_bias(rng, cfg, n_out=4) \
+        if mode == "variable_output" else None
+
+    def composed(params, batch, bias):
+        if mode == "variable_output":
+            b, n = batch.poses.shape[:2]
+            base = T.contract(batch.poses, params.weights, "bicd,dh->bich")
+            base = T.reshape(base, (b, n, 1, cfg.d_cov, cfg.d_out))
+            return T.add(base, bias)
+        pair = "ij" if mode == "fixed" else "j"
+        return T.add(T.contract(batch.poses, params.weights,
+                                f"bicd,{pair}dh->bijch"), bias)
+
+    def run(votes_of):
+        tape = T.Tape()
+        params, batch = p.tracked(tape), caps.tracked(tape)
+        bias = params.biases if out_bias is None else tape.leaf(out_bias)
+        before = len(tape)
+        votes = votes_of(params, batch, bias)
+        nodes = len(tape) - before
+        g = np.random.default_rng(37).normal(size=votes.shape)
+        grads = T.backward(tape, T.reduce_sum(T.mul(votes, g)))
+        return nodes, [votes.data] + [grads[x.node] for x in
+                                      (batch.poses, params.weights, bias)]
+
+    nodes, fused = run(lambda params, batch, bias: compute_votes(
+        params, batch, cfg, out_bias=None if out_bias is None else bias))
+    assert nodes == 1
+    for a, b in zip(fused, run(composed)[1], strict=True):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def test_votes_reject_params_of_another_layout():
+    cfg = small_fixed_config()
+    p = init_params(small_fixed_config(n_in=4), seed=0)
+    caps = CapsuleBatch(np.zeros((1, 3)), np.zeros((1, 3, 2, 2)))
+    with pytest.raises(ShapeError, match="weights"):
+        compute_votes(p, caps, cfg)
+
+
 # ---------------------------------------------------------------------------
 # e_step
 
@@ -383,14 +432,15 @@ def test_fused_op_matches_composition(op):
 
 
 def test_desk_route_tape_length_is_pinned():
-    # each E-step log-density, M-step mean and M-step variance is one node;
-    # composing them from generic ops again would record 86 and 97 nodes
+    # the votes and each E-step log-density, M-step mean and M-step
+    # variance are one node; composing them from generic ops again would
+    # record 86 and 97 nodes
     from capsem.classifier import build_constellation_classifier
     model = build_constellation_classifier(d_cov=4, d_in=4, n_classes=5)
     (p0, cfg0), (p1, cfg1) = model.layers
     rng = np.random.default_rng(34)
-    for params, cfg, n, tracked_caps, nodes in ((p0, cfg0, 10, False, 46),
-                                                (p1, cfg1, 32, True, 56)):
+    for params, cfg, n, tracked_caps, nodes in ((p0, cfg0, 10, False, 45),
+                                                (p1, cfg1, 32, True, 55)):
         tape = T.Tape()
         pt = params.tracked(tape)
         caps = random_caps(rng, cfg, batch=20, n=n)

@@ -392,8 +392,8 @@ def test_contract_matches_einsum_on_random_specs():
 def test_contract_matches_einsum_when_output_ends_in_row_and_column():
     # out = leading indexes (batch, or kept on one operand only) in an
     # order that differs from batch + a-kept + b-kept, then (row of a,
-    # column of b) around one summed index: the layout that broadcasting
-    # np.matmul writes in place
+    # column of b) around one summed index, as in bicd,jdh->bijch: a
+    # matrix product that is transposed into output order
     rng = np.random.default_rng(35)
     roles = ("batch", "a_lead", "b_lead")
     checked = 0
@@ -408,7 +408,7 @@ def test_contract_matches_einsum_when_output_ends_in_row_and_column():
         a_kept = [i for i in out if i in named["a_lead"] or i == r]
         b_kept = [i for i in out if i in named["b_lead"] or i == k]
         if named["batch"] + a_kept + b_kept == out:
-            continue  # already in matmul order: no transposing copy to skip
+            continue  # already in matmul order: nothing to transpose
         a_idx = named["batch"] + named["a_lead"] + [r, s]
         b_idx = named["batch"] + named["b_lead"] + [s, k]
         for idx in (a_idx, b_idx):
