@@ -29,8 +29,8 @@ from .errors import (ConfigError, DataFormatError, DomainError,
                      FormatVersionError, ShapeError)
 from .nn import mask_to_logits
 from .routing import (LOGIT_MAX, MODES, CapsuleBatch, RoutingConfig,
-                      RoutingParams, clamp_scores, is_count, is_finite_number,
-                      mode_config, param_shapes)
+                      RoutingParams, _check_layout, clamp_scores, is_count,
+                      is_finite_number, mode_config, param_shapes)
 
 # ---------------------------------------------------------------------------
 # constellation generator
@@ -301,11 +301,14 @@ class _Reader:
             )
 
 
-def _dtype_code(arr: np.ndarray) -> int:
-    code = _CODES_BY_KIND.get(np.dtype(arr.dtype.type))
-    if code is None:
-        raise DataFormatError(f"unsupported dtype {arr.dtype}")
-    return code
+def _dtype_code(arrays) -> int:
+    """The dtype code of a file storing ``arrays``: float64 if any of them
+    is float64, by the tensor module's dtype rule, else float32."""
+    dtypes = {np.dtype(arr.dtype.type) for arr in arrays}
+    unsupported = dtypes - _CODES_BY_KIND.keys()
+    if unsupported:
+        raise DataFormatError(f"unsupported dtype {unsupported.pop()}")
+    return _CODES_BY_KIND[np.result_type(*dtypes)]
 
 
 def _write_file(path, kind: int, code: int, *parts: bytes) -> None:
@@ -364,7 +367,7 @@ def write_capsules(path, batch: CapsuleBatch, labels=None) -> None:
     scores = np.ascontiguousarray(T.asarray(batch.scores))
     poses = np.ascontiguousarray(T.asarray(batch.poses))
     b, n, d_cov, d_in = poses.shape
-    code = _dtype_code(poses)
+    code = _dtype_code((scores, poses))
     le = _DTYPE_CODES[code]
     parts = [struct.pack("<B4I", labels is not None, b, n, d_cov, d_in),
              scores.astype(le).tobytes(), poses.astype(le).tobytes()]
@@ -392,6 +395,9 @@ def read_capsules(path) -> tuple[CapsuleBatch, np.ndarray | None]:
 
 
 def _write_capsules_json(path, batch, labels) -> None:
+    if T.asarray(batch.poses).shape[0] == 0:
+        raise ShapeError("a caps-json file cannot hold zero samples: its "
+                         "nested lists would not record n, d_cov or d_in")
     fields = {"scores": T.asarray(batch.scores).tolist(),
               "poses": T.asarray(batch.poses).tolist()}
     if labels is not None:
@@ -421,6 +427,17 @@ def _load_caps_json(path, kind: str) -> dict:
     return doc
 
 
+# the keys every caps-json document starts with, as _write_json writes them
+_JSON_HEAD = ("format", "version", "kind")
+
+
+def _check_keys(doc: dict, known, what: str) -> None:
+    """DataFormatError naming any key of ``doc`` outside ``known``."""
+    unknown = set(doc) - set(known)
+    if unknown:
+        raise DataFormatError(f"unknown {what} keys: {sorted(unknown)}")
+
+
 def _json_array(doc: dict, name: str, shape: tuple | None = None,
                 dtype=np.float64) -> np.ndarray:
     """``doc[name]`` as an array, of ``shape`` when given."""
@@ -446,6 +463,8 @@ def _stored_batch(scores, poses) -> CapsuleBatch:
 
 def _read_capsules_json(path):
     doc = _load_caps_json(path, "capsule_batch")
+    _check_keys(doc, _JSON_HEAD + ("scores", "poses", "labels"),
+                "capsule_batch")
     batch = _stored_batch(_json_array(doc, "scores"),
                           _json_array(doc, "poses"))
     labels = None
@@ -507,24 +526,25 @@ _META_LAYOUT = _layer_meta(RoutingConfig(n_out=1, d_cov=1, d_in=1, d_out=1))
 def _stored_arrays(params: RoutingParams,
                    config: RoutingConfig) -> dict[str, np.ndarray]:
     """The independent fields of ``params``, checked against the layout
-    of ``config`` so that a written file reads back."""
-    arrays = {name: T.asarray(value) for name, value in params.items()}
-    found = {name: a.shape for name, a in arrays.items()}
-    expected = param_shapes(config)
-    if found != expected:
-        raise ShapeError(f"parameter shapes {found} do not match the "
-                         f"{config.mode} layout {expected}")
-    return arrays
+    and tie flag of ``config`` so that a written file reads back."""
+    _check_layout(params, config)
+    if params.tied != config.tie_betas:
+        raise ShapeError(f"params with tied={params.tied} do not match the "
+                         f"{config.mode} layout with tie_betas="
+                         f"{config.tie_betas}")
+    return {name: T.asarray(value) for name, value in params.items()}
 
 
-def _layer_record(params: RoutingParams, config: RoutingConfig,
+def _layer_record(config: RoutingConfig, arrays: dict[str, np.ndarray],
                   le: np.dtype) -> bytes:
+    """The layer record of ``config`` holding ``arrays``, the result of
+    :func:`_stored_arrays`, in dtype ``le``."""
     mode, tie, dims, *knobs = _layer_meta(config).values()
-    arrays = _stored_arrays(params, config).values()
     return b"".join([
         struct.pack(_LAYER_RECORD, MODES.index(mode), tie, *dims.values(),
                     *knobs),
-        *(np.ascontiguousarray(a).astype(le).tobytes() for a in arrays)])
+        *(np.ascontiguousarray(a).astype(le).tobytes()
+          for a in arrays.values())])
 
 
 def _read_layer(r: _Reader, dtype: np.dtype) -> tuple[RoutingParams, RoutingConfig]:
@@ -547,9 +567,10 @@ def write_params(path, params: RoutingParams, config: RoutingConfig) -> None:
     if str(path).endswith(".json"):
         _write_params_json(path, params, config)
         return
-    code = _dtype_code(T.asarray(params.weights))
+    arrays = _stored_arrays(params, config)
+    code = _dtype_code(arrays.values())
     _write_file(path, _KIND_PARAMS, code,
-                _layer_record(params, config, _DTYPE_CODES[code]))
+                _layer_record(config, arrays, _DTYPE_CODES[code]))
 
 
 def read_params(path) -> tuple[RoutingParams, RoutingConfig]:
@@ -572,9 +593,13 @@ def _write_params_json(path, params: RoutingParams,
 def _read_params_json(path) -> tuple[RoutingParams, RoutingConfig]:
     doc = _load_caps_json(path, "routing_params")
     config = _stored_config(doc)
+    shapes = param_shapes(config)
+    _check_keys(doc, _JSON_HEAD + tuple(_META_LAYOUT) + tuple(shapes),
+                "routing_params")
+    _check_keys(doc["dims"], _META_LAYOUT["dims"], "routing_params 'dims'")
     params = RoutingParams.from_items(
         (name, _json_array(doc, name, shape))
-        for name, shape in param_shapes(config).items())
+        for name, shape in shapes.items())
     return params, config
 
 
@@ -584,6 +609,10 @@ def _check_stack(layers, n_classes: int, error: type) -> None:
     configs = [config for _, config in layers]
     if not configs:
         raise error("a model needs at least one layer")
+    for k, cfg in enumerate(configs):
+        if cfg.mode == "variable_output":
+            raise error(f"layer {k} is variable_output: it routes only with "
+                        f"a per-output bias, which a model does not store")
     for k, (prev, cfg) in enumerate(zip(configs, configs[1:]), start=1):
         if cfg.d_cov != prev.d_cov or cfg.d_in != prev.d_out \
                 or cfg.n_in not in (None, prev.n_out):
@@ -600,11 +629,13 @@ def write_model(path, layers, n_classes: int) -> None:
     """Write a stack of (params, config) routing layers as one model;
     ShapeError if they do not route into ``n_classes`` outputs."""
     _check_stack(layers, n_classes, ShapeError)
-    code = _dtype_code(T.asarray(layers[0][0].weights))
+    stored = [(config, _stored_arrays(params, config))
+              for params, config in layers]
+    code = _dtype_code([a for _, arrays in stored for a in arrays.values()])
     _write_file(path, _KIND_MODEL, code,
                 struct.pack("<II", len(layers), n_classes),
-                *(_layer_record(params, config, _DTYPE_CODES[code])
-                  for params, config in layers))
+                *(_layer_record(config, arrays, _DTYPE_CODES[code])
+                  for config, arrays in stored))
 
 
 def read_model(path) -> tuple[list[tuple[RoutingParams, RoutingConfig]], int]:

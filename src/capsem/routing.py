@@ -296,6 +296,22 @@ def param_count(config: RoutingConfig) -> ParamCount:
                       betas=sizes["beta_use"] + sizes.get("beta_ign", 0))
 
 
+def _check_layout(params: RoutingParams, config: RoutingConfig) -> None:
+    """ShapeError unless every field of ``params`` has the layout
+    :func:`param_shapes` gives for ``config``: ``beta_ign`` has
+    ``beta_use``'s whether or not the betas are tied, and ``biases`` is
+    None exactly in variable_output mode."""
+    shapes = param_shapes(config)
+    shapes.setdefault("biases", None)
+    shapes["beta_ign"] = shapes["beta_use"]
+    for name, shape in shapes.items():
+        value = getattr(params, name)
+        found = None if value is None else np.shape(T.asarray(value))
+        if found != shape:
+            raise ShapeError(f"{name} have shape {found}, not the "
+                             f"{config.mode} layout {shape}")
+
+
 # ---------------------------------------------------------------------------
 # the four phases
 
@@ -310,22 +326,17 @@ def compute_votes(params: RoutingParams, caps: CapsuleBatch,
     bias and requires ``out_bias`` of shape (n_out, d_cov, d_out).
     """
     poses = T.as_tensor(caps.poses)
-    b, n, c, d = poses.shape
+    _, n, c, d = poses.shape
     if (c, d) != (config.d_cov, config.d_in):
         raise ShapeError(f"poses have (d_cov, d_in)={(c, d)}; config "
                          f"expects {(config.d_cov, config.d_in)}")
     if config.n_in not in (None, n):
         raise ShapeError(f"expected n_in={config.n_in} capsules, found {n}")
-    for name, shape in param_shapes(config).items():
-        found = np.shape(T.asarray(getattr(params, name)))
-        if name in ("weights", "biases") and found != shape:
-            raise ShapeError(f"{name} have shape {found}, not the "
-                             f"{config.mode} layout {shape}")
+    _check_layout(params, config)
     weights = T.as_tensor(params.weights)
     pd, wd = poses.data, weights.data
     if config.mode != "variable_output":
         bias = T.as_tensor(params.biases)
-        base = np.matmul(pd[:, :, None], wd)
     elif out_bias is None:
         raise ConfigError(
             "variable-output mode needs a per-output symmetry-breaking bias"
@@ -337,9 +348,8 @@ def compute_votes(params: RoutingParams, caps: CapsuleBatch,
                 f"out_bias must have shape (n_out, {c}, {config.d_out}),"
                 f" got {bias.shape}"
             )
-        # one (b n c, d) @ (d, h) product, for an output axis of length 1
-        base = (pd.reshape(-1, d) @ wd).reshape(b, n, 1, c, config.d_out)
-        wd = wd[None]
+        wd = wd[None]  # an output axis of length 1
+    base = np.matmul(pd[:, :, None], wd)
     w_spec = "ijdh" if config.mode == "fixed" else "jdh"
     base_shape, bias_shape, w_shape = base.shape, bias.shape, weights.shape
 

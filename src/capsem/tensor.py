@@ -16,9 +16,9 @@ A contraction signature names each index in the output or on both
 operands, and a shared index has equal extents on both; ``contract``
 neither broadcasts nor sums an index that only one operand carries.
 A contraction, forward or in either gradient, runs as one batched BLAS
-``np.matmul`` when it is a matrix product (a summed shared index and a
-kept index on each operand) and as ``np.einsum`` otherwise; the choice
-reads the signature alone, and results are C-contiguous.
+``np.matmul``: an index group the signature lacks (no summed index, or
+no kept index on one operand) has extent 1, so dot, elementwise and
+outer products take the same path. Results are C-contiguous.
 
 Values are immutable once wrapped in a :class:`Tensor`; a :class:`Tape` is
 single-threaded and append-only, so replaying the same graph on the same
@@ -341,20 +341,16 @@ def _parse_contract_spec(spec: str) -> tuple[str, str, str]:
 def _product(x: np.ndarray, x_spec: str, y: np.ndarray, y_spec: str,
              out: str) -> np.ndarray:
     """``np.einsum(f"{x_spec},{y_spec}->{out}", x, y)`` for a signature
-    that :func:`contract` accepts.
+    that :func:`contract` accepts, as one batched ``np.matmul``.
 
-    A matrix product, one with a summed shared index and a kept index on
-    each side, runs as one batched ``np.matmul``: shared kept indexes
-    form the batch, and each operand is laid out as (batch, M, K) or
-    (batch, K, N). Any other product stays on ``np.einsum``. Either way
-    the result is C-contiguous in ``out``'s order.
+    Shared kept indexes form the batch, and each operand is laid out as
+    (batch, M, K) or (batch, K, N), with M, K and N the products of its
+    kept and summed extents; a group the signature lacks has extent 1.
+    The result is C-contiguous in ``out``'s order.
     """
     summed = [i for i in x_spec if i in y_spec and i not in out]
     x_kept = [i for i in out if i in x_spec and i not in y_spec]
     y_kept = [i for i in out if i in y_spec and i not in x_spec]
-    if not (summed and x_kept and y_kept):
-        res = np.einsum(f"{x_spec},{y_spec}->{out}", x, y)
-        return res if res.flags.c_contiguous else res.copy()
     extents = dict(zip(x_spec, x.shape)) | dict(zip(y_spec, y.shape))
     batch = [i for i in out if i in x_spec and i in y_spec]
 
@@ -368,7 +364,9 @@ def _product(x: np.ndarray, x_spec: str, y: np.ndarray, y_spec: str,
                      as_matrices(y, y_spec, summed, y_kept))
     order = batch + x_kept + y_kept
     prod = prod.reshape([extents[i] for i in order])
-    return np.ascontiguousarray(prod.transpose([order.index(i) for i in out]))
+    # not ascontiguousarray: it turns a 0-d result into shape (1,)
+    return np.asarray(prod.transpose([order.index(i) for i in out]),
+                      order="C")
 
 
 def contract(a, b, spec: str) -> Tensor:
@@ -379,9 +377,8 @@ def contract(a, b, spec: str) -> Tensor:
     shared index has the same extent on both operands. Any other
     signature is a ``ShapeError`` that names the offending index.
 
-    The forward product and both gradient products run as one batched
-    ``np.matmul`` when they are matrix products (a summed shared index and
-    a kept index on each side) and through ``np.einsum`` otherwise.
+    The forward product and both gradient products each run as one
+    batched ``np.matmul``; an index group a signature lacks has extent 1.
     """
     a, b = _coerce_pair(a, b)
     a_spec, b_spec, out = _parse_contract_spec(spec)
@@ -508,15 +505,14 @@ def reshape(a, shape) -> Tensor:
 # gradient checking
 
 
-def grad_check(f: Callable[[Tensor], Tensor], x, step: float = 1e-5) -> float:
+def grad_check(f: Callable[[Tensor], Tensor], x) -> float:
     """Max relative error of reverse-mode gradients of scalar ``f`` at ``x``.
 
-    Central differences with the given step, compared per coordinate as
+    Central differences with step 1e-5, compared per coordinate as
     |analytic - numeric| / max(1, |analytic|). Runs in float64 whatever
     the dtype of ``x``.
     """
-    if step <= 0:
-        raise ValueError("step must be positive")
+    step = 1e-5
     x0 = np.asarray(x, dtype=np.float64)
     tape = Tape()
     xt = tape.leaf(x0)

@@ -87,6 +87,14 @@ def test_gen_data_empty_file_is_valid(tmp_path):
     assert len(labels) == 0
 
 
+def test_gen_data_empty_json_file_exits_2(tmp_path, capsys):
+    # a caps-json batch of zero samples would not read back
+    out = tmp_path / "empty.json"
+    assert main(["gen-data", "--out", str(out), "--n", "0"]) == 2
+    assert "zero samples" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_gen_data_malformed_spec_exits_2(tmp_path):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({"n_classes": 5, "bogus_knob": 3}))

@@ -150,8 +150,9 @@ def test_capsule_file_json_unbatched_sample_takes_one_label(tmp_path):
     ("labels", [True, 0], "non-negative integers"),
     ("labels", [0, 10**30], "labels"),
     ("scores", [[0.5, 10**400]] * 2, "scores"),
+    ("bogus", 1, "unknown capsule_batch keys: \\['bogus'\\]"),
 ], ids=["negative_label", "fractional_label", "bool_label", "huge_label",
-        "huge_int_score"])
+        "huge_int_score", "unknown_key"])
 def test_capsule_file_json_rejects_bad_values(tmp_path, field, value,
                                               message):
     batch = CapsuleBatch(np.zeros((2, 2)), np.zeros((2, 2, 1, 1)))
@@ -162,6 +163,15 @@ def test_capsule_file_json_rejects_bad_values(tmp_path, field, value,
     path.write_text(json.dumps(doc))
     with pytest.raises(DataFormatError, match=message):
         D.read_capsules(path)
+
+
+def test_capsule_json_writer_refuses_zero_samples(tmp_path):
+    # nested lists of zero samples cannot carry n, d_cov or d_in
+    batch, labels = D.make_dataset(D.ConstellationSpec(), 0)
+    path = tmp_path / "empty.json"
+    with pytest.raises(ShapeError, match="zero samples"):
+        D.write_capsules(path, batch, labels)
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("suffix", [".caps", ".json"])
@@ -382,6 +392,23 @@ def test_params_json_rejects_malformed_arrays(tmp_path, corrupt, message):
         D.read_params(path)
 
 
+@pytest.mark.parametrize("cfg, corrupt, key", [
+    (_LAYOUTS[0], lambda doc: doc.update(comment="x"), "comment"),
+    (_LAYOUTS[0], lambda doc: doc["dims"].update(n_hidden=9), "n_hidden"),
+    (_LAYOUTS[1], lambda doc: doc.update(beta_ign=doc["beta_use"]),
+     "beta_ign"),
+    (_LAYOUTS[3], lambda doc: doc.update(biases=[[0.0]]), "biases"),
+], ids=["top_level", "dims", "tied_beta_ign", "variable_output_biases"])
+def test_params_json_rejects_unknown_keys(tmp_path, cfg, corrupt, key):
+    path = tmp_path / "params.json"
+    D.write_params(path, init_params(cfg, seed=0), cfg)
+    doc = json.loads(path.read_text())
+    corrupt(doc)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(DataFormatError, match=f"unknown .*'{key}'"):
+        D.read_params(path)
+
+
 @pytest.mark.parametrize("reader", ["params", "model"])
 def test_layer_record_with_rejected_dims_is_a_format_error(tmp_path, reader):
     cfg = _LAYOUTS[0]
@@ -499,6 +526,65 @@ def test_params_writer_rejects_params_of_another_layout(tmp_path):
         D.write_params(tmp_path / "p.caps", tied, untied)
 
 
+@pytest.mark.parametrize("field", ["beta_use", "beta_ign"])
+def test_params_writer_rejects_betas_of_another_layout(tmp_path, field):
+    cfg = _LAYOUTS[0]
+    p = init_params(cfg, seed=0)
+    setattr(p, field, np.zeros(cfg.n_out))
+    with pytest.raises(ShapeError, match=field):
+        D.write_params(tmp_path / "p.caps", p, cfg)
+    with pytest.raises(ShapeError, match=field):
+        D.write_model(tmp_path / "m.caps", [(p, cfg)], n_classes=3)
+
+
+def _mixed_dtype_params(cfg):
+    """float32 weights, every other field float64."""
+    p = random_params(np.random.default_rng(40), cfg)
+    p.weights = p.weights.astype(np.float32)
+    return p
+
+
+def test_params_writer_keeps_mixed_dtypes_exact(tmp_path):
+    cfg = _LAYOUTS[0]
+    p = _mixed_dtype_params(cfg)
+    path = tmp_path / "p.caps"
+    D.write_params(path, p, cfg)
+    back, _ = D.read_params(path)
+    assert back.beta_use.dtype == np.float64
+    _assert_same_params(back, p)
+
+
+def test_model_writer_keeps_mixed_dtypes_exact(tmp_path):
+    cfg1 = RoutingConfig(n_out=4, d_cov=2, d_in=2, d_out=3)
+    cfg2 = RoutingConfig(n_out=5, n_in=4, d_cov=2, d_in=3, d_out=2)
+    layer0 = init_params(cfg1, 0)
+    layer0 = RoutingParams.from_items(
+        (name, np.asarray(value, dtype=np.float32))
+        for name, value in layer0.items())
+    layers = [(layer0, cfg1), (random_params(np.random.default_rng(41), cfg2),
+                               cfg2)]
+    path = tmp_path / "model.caps"
+    D.write_model(path, layers, n_classes=5)
+    back, _ = D.read_model(path)
+    for (p, _), (bp, _) in zip(layers, back):
+        assert bp.weights.dtype == np.float64
+        _assert_same_params(bp, p)
+
+
+def test_capsule_writer_keeps_mixed_dtypes_exact(tmp_path):
+    # float32 vectors with a float64 mask: float32 poses, float64 scores
+    rng = np.random.default_rng(42)
+    batch = D.ingest_embeddings(rng.normal(size=(2, 3, 4)).astype(np.float32),
+                                rng.uniform(0.01, 0.99, size=(2, 3)))
+    assert batch.poses.dtype == np.float32
+    assert batch.scores.dtype == np.float64
+    path = tmp_path / "mixed.caps"
+    D.write_capsules(path, batch)
+    back, _ = D.read_capsules(path)
+    np.testing.assert_array_equal(back.scores, batch.scores)
+    np.testing.assert_array_equal(back.poses, batch.poses)
+
+
 def test_model_file_round_trip(tmp_path):
     cfg1 = RoutingConfig(n_out=4, d_cov=2, d_in=2, d_out=3)
     cfg2 = RoutingConfig(n_out=5, n_in=4, d_cov=2, d_in=3, d_out=2)
@@ -544,6 +630,21 @@ def test_model_file_must_describe_a_routable_stack(tmp_path, capsys, second,
         D.read_model(path)
     assert main(["inspect", "--model", str(path)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_model_file_rejects_a_variable_output_layer(tmp_path):
+    # route would need a per-output bias that a model file does not store
+    cfg = RoutingConfig(n_out="variable", d_cov=2, d_in=2, d_out=3)
+    layers = [(init_params(cfg, 0), cfg)]
+    with pytest.raises(ShapeError, match="variable_output"):
+        D.write_model(tmp_path / "w.caps", layers, n_classes=1)
+    D.write_params(tmp_path / "layer.caps", *layers[0])
+    path = tmp_path / "m.caps"
+    path.write_bytes(b"CAPS" + struct.pack("<HBB", 1, 3, 1)
+                     + struct.pack("<II", 1, 1)
+                     + (tmp_path / "layer.caps").read_bytes()[8:])
+    with pytest.raises(DataFormatError, match="variable_output"):
+        D.read_model(path)
 
 
 # ---------------------------------------------------------------------------

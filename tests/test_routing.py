@@ -176,6 +176,25 @@ def test_votes_reject_params_of_another_layout():
         compute_votes(p, caps, cfg)
 
 
+@pytest.mark.parametrize("tie", [False, True], ids=["untied", "tied"])
+@pytest.mark.parametrize("shape", [(2,), (4, 3, 2)],
+                         ids=["per_output", "per_sample"])
+def test_route_rejects_betas_of_another_layout(shape, tie):
+    # fixed-mode betas are (n_in, n_out) = (3, 2); numpy alone would
+    # broadcast (n_out,) betas over the inputs, and (batch, n_in, n_out)
+    # betas would give each sample its own
+    cfg = small_fixed_config(tie_betas=tie)
+    p = init_params(cfg, seed=0)
+    caps = random_caps(np.random.default_rng(0), cfg, batch=4)
+    wrong = np.zeros(shape)
+    for beta_use, beta_ign, name in ((wrong, wrong, "beta_use"),
+                                     (wrong, p.beta_ign, "beta_use"),
+                                     (p.beta_use, wrong, "beta_ign")):
+        params = RoutingParams(p.weights, p.biases, beta_use, beta_ign)
+        with pytest.raises(ShapeError, match=name):
+            route(params, caps, cfg)
+
+
 # ---------------------------------------------------------------------------
 # e_step
 
@@ -748,7 +767,7 @@ def test_route_gradients_match_finite_differences(mode, tie):
     def f(v):
         return _route_loss_from_vector(v, shapes, cfg, tie, out_bias=out_bias)
 
-    err = T.grad_check(f, vec, step=1e-5)
+    err = T.grad_check(f, vec)
     assert err <= 1e-4, f"{mode} tie={tie}: rel err {err}"
 
 

@@ -260,7 +260,7 @@ def test_backward_composite_matches_finite_differences():
         return T.reduce_mean(T.square(z))
 
     rng_x = rng.normal(size=(5, 3))
-    err = T.grad_check(f, w, step=1e-5)
+    err = T.grad_check(f, w)
     assert err <= 1e-5
 
 
