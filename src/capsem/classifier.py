@@ -131,6 +131,10 @@ class TrainRegime:
                      "warm_frac"):
             if not is_finite_number(getattr(self, name)):
                 raise ConfigError(f"{name} must be a finite number")
+        if not (self.lr_start >= 0 and self.lr_peak >= 0):
+            raise ConfigError("lr_start and lr_peak must be >= 0")
+        if not (0 <= self.beta1_start < 1 and 0 <= self.beta1_peak < 1):
+            raise ConfigError("beta1_start and beta1_peak must lie in [0, 1)")
         if not 0 < self.warm_frac < 1:
             raise ConfigError("warm_frac must lie in (0, 1)")
         if not isinstance(self.mixup, bool):

@@ -86,12 +86,18 @@ class RAdam:
              beta1: float) -> None:
         """One in-place update of every parameter from its gradient.
 
-        Every gradient is checked before anything changes, so a step that
-        raises leaves the parameters, both moments and ``t`` as they were.
+        ``lr``, ``beta1``, the gradient names and every gradient are
+        checked before anything changes, so a step that raises leaves the
+        parameters, both moments and ``t`` as they were.
         """
-        missing = set(self.params) - set(grads)
-        if missing:
-            raise ShapeError(f"missing gradients for {sorted(missing)}")
+        if not (math.isfinite(lr) and lr >= 0):
+            raise DomainError(f"lr must be a finite number >= 0, got {lr}")
+        if not 0 <= beta1 < 1:
+            raise DomainError(f"beta1 must lie in [0, 1), got {beta1}")
+        if set(grads) != set(self.params):
+            raise ShapeError(
+                f"gradient names {sorted(grads)} do not match the parameter "
+                f"names {sorted(self.params)}")
         grads = {name: np.asarray(grads[name]) for name in sorted(self.params)}
         for name, g in grads.items():
             if g.shape != self.params[name].shape:

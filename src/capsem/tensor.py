@@ -20,9 +20,10 @@ A contraction, forward or in either gradient, runs as one batched BLAS
 no kept index on one operand) has extent 1, so dot, elementwise and
 outer products take the same path. Results are C-contiguous.
 
-Values are immutable once wrapped in a :class:`Tensor`; a :class:`Tape` is
-single-threaded and append-only, so replaying the same graph on the same
-inputs is bit-identical.
+Values are immutable once wrapped in a :class:`Tensor`, and
+:func:`backward` writes only into the gradient sums it allocated itself;
+a :class:`Tape` is single-threaded and append-only, so replaying the same
+graph on the same inputs is bit-identical.
 
 Dtypes follow one rule, decided here and nowhere else:
 
@@ -167,7 +168,12 @@ def backward(tape: Tape, loss: Tensor) -> dict[int, np.ndarray]:
     """Reverse-mode pass from a scalar ``loss``; returns leaf node id ->
     gradient, exactly for the tracked leaves on the path to the loss.
 
-    Fan-out sums; each interior gradient is dropped once its VJP has run.
+    Fan-out sums, in arrival order. A node's first gradient is kept as
+    the VJP gave it, since a VJP may hand one array to several sources;
+    the second is added into a new buffer that ``backward`` owns, and
+    later ones are summed into that buffer in place when that keeps its
+    shape and dtype. VJP outputs are never written. Each interior
+    gradient is dropped once its VJP has run.
     """
     if loss.tape is not tape or loss.node is None:
         raise ValueError("loss is not tracked on this tape")
@@ -176,15 +182,25 @@ def backward(tape: Tape, loss: Tensor) -> dict[int, np.ndarray]:
     grads: dict[int, np.ndarray] = {
         loss.node: np.ones((), dtype=loss.data.dtype)
     }
+    owned: set[int] = set()
     for nid in range(loss.node, -1, -1):
         inputs, vjp = tape._nodes[nid]
         if vjp is None or nid not in grads:
             continue
+        owned.discard(nid)
         for src, gsrc in zip(inputs, vjp(grads.pop(nid))):
             if src < 0:
                 continue
             acc = grads.get(src)
-            grads[src] = gsrc if acc is None else acc + gsrc
+            if acc is None:
+                grads[src] = gsrc
+            elif (src in owned and np.shape(gsrc) == acc.shape
+                  and np.result_type(acc, gsrc) == acc.dtype):
+                np.add(acc, gsrc, out=acc)
+            else:
+                # asarray: two 0-d arrays sum to a numpy scalar
+                grads[src] = np.asarray(acc + gsrc)
+                owned.add(src)
     return grads
 
 

@@ -2,9 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from capsem.routing import (CapsuleBatch, RoutingConfig, RoutingParams,
                             param_shapes)
+
+# property tests draw the same examples on every run
+settings.register_profile("deterministic", derandomize=True, deadline=None)
+settings.load_profile("deterministic")
 
 
 def random_config(rng, mode="fixed", tie=False, small=False, n_iters=None):

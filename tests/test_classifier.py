@@ -91,10 +91,13 @@ def test_regime_validation():
                 dict(threads=True), dict(threads=2), dict(lr_peak=float("inf")),
                 dict(beta1_start="0.9"), dict(warm_frac=0.0),
                 dict(mixup="yes"), dict(mixup_alpha=(0.2, 0.0)),
-                dict(mixup_alpha=(0.2,))):
+                dict(mixup_alpha=(0.2,)), dict(beta1_start=1.0),
+                dict(beta1_peak=-0.1), dict(beta1_peak=float("nan")),
+                dict(lr_start=-1e-3), dict(lr_peak=float("nan"))):
         with pytest.raises(ConfigError):
             TrainRegime(**bad)
     TrainRegime(mixup_alpha=[0.4, 0.4], lr_start=1)  # JSON list, int rate
+    TrainRegime(lr_start=0, beta1_start=0.0)  # both ranges include 0
 
 
 def test_training_improves_and_is_deterministic(small_data):

@@ -165,6 +165,17 @@ def test_train_unknown_config_key_exits_2(tmp_path):
                  "--config", str(config)]) == 2
 
 
+def test_train_beta1_of_one_exits_2(tmp_path, capsys):
+    # beta1 = 1 would make RAdam's first bias correction 1 - beta1 = 0
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps(
+        {"train": {"beta1_start": 1.0, "train_samples": 200}}))
+    assert main(["train", "--out", str(tmp_path / "m.model"),
+                 "--config", str(config)]) == 2
+    assert "beta1_start" in capsys.readouterr().err
+    assert not (tmp_path / "m.model").exists()
+
+
 def test_train_non_utf8_config_exits_2(tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_bytes(b"\xff\xfe{}")

@@ -146,11 +146,20 @@ def test_failed_step_changes_nothing():
     before = ({k: p.copy() for k, p in opt.params.items()},
               {k: m.copy() for k, m in opt.m.items()},
               {k: v.copy() for k, v in opt.v.items()}, opt.t)
-    bad_b = ((DomainError, np.array([1.0, np.nan, 0.0])),
-             (ShapeError, np.zeros(4)))
-    for error, gb in bad_b:
-        with pytest.raises(error, match="'b'"):
-            opt.step({"a": np.ones(2), "b": gb}, lr=1e-1, beta1=0.9)
+    good = {"a": np.ones(2), "b": np.ones(3)}
+    bad_steps = (
+        (DomainError, "'b'", dict(good, b=np.array([1.0, np.nan, 0.0])),
+         1e-1, 0.9),
+        (ShapeError, "'b'", dict(good, b=np.zeros(4)), 1e-1, 0.9),
+        (ShapeError, "'typo'", dict(good, typo=np.ones(2)), 1e-1, 0.9),
+        (DomainError, "lr", good, float("nan"), 0.9),
+        (DomainError, "lr", good, -1e-3, 0.9),
+        (DomainError, "beta1", good, 1e-1, 1.0),
+        (DomainError, "beta1", good, 1e-1, float("nan")),
+    )
+    for error, match, grads, lr, beta1 in bad_steps:
+        with pytest.raises(error, match=match):
+            opt.step(grads, lr=lr, beta1=beta1)
         for saved, now in zip(before[:3], (opt.params, opt.m, opt.v)):
             for name in saved:
                 np.testing.assert_array_equal(now[name], saved[name])

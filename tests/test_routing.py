@@ -928,6 +928,15 @@ def test_route_with_all_inputs_gated_off_stays_finite():
     assert np.all(out.variances.data >= cfg.var_floor)
 
 
+def test_zero_var_floor_with_zero_variance_is_a_domain_error():
+    # all-zero poses give all-zero votes, hence zero output variances;
+    # with no floor the second E-step must refuse them, not take log(0)
+    cfg = small_fixed_config(var_floor=0.0)
+    caps = CapsuleBatch(np.zeros((2, 3)), np.zeros((2, 3, 2, 2)))
+    with pytest.raises(DomainError, match="strictly positive"):
+        route(init_params(cfg, seed=0), caps, cfg)
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_route_overflow_is_a_domain_error():
     # finite poses whose squares overflow must not route to NaN silently

@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from capsem import tensor as T
 from capsem.errors import DomainError, ShapeError
@@ -204,6 +205,145 @@ def test_backward_fanout_accumulates():
     y = T.add(T.mul(x, x), x)  # d/dx (x^2 + x) = 2x + 1
     grads = T.backward(tape, y)
     assert grads[x.node] == pytest.approx(5.0)
+
+
+def _reference_backward(tape, loss):
+    """``T.backward`` with every fan-in summed into a fresh array."""
+    grads = {loss.node: np.ones((), dtype=loss.data.dtype)}
+    for nid in range(loss.node, -1, -1):
+        inputs, vjp = tape._nodes[nid]
+        if vjp is None or nid not in grads:
+            continue
+        for src, gsrc in zip(inputs, vjp(grads.pop(nid))):
+            if src >= 0:
+                acc = grads.get(src)
+                grads[src] = gsrc if acc is None else acc + gsrc
+    return grads
+
+
+def _assert_same_gradients(tape, loss):
+    expected = _reference_backward(tape, loss)
+    got = T.backward(tape, loss)
+    assert set(got) == set(expected)
+    for node, want in expected.items():
+        assert np.asarray(got[node]).dtype == np.asarray(want).dtype
+        assert np.array_equal(got[node], want)
+
+
+def test_backward_fan_in_of_four_ops_on_one_leaf():
+    # add(x, w) is recorded last, so x's first gradient is the array that
+    # add's VJP also hands to w: summing into it would change w's gradient
+    tape = T.Tape()
+    x = tape.leaf([[0.3, -1.2, 2.5], [0.7, 1.1, -0.4]])
+    w = tape.leaf([[1.5, 0.2, -0.9], [-2.0, 0.6, 0.8]])
+    uses = [T.mul(x, w), T.exp(x), T.square(x), T.add(x, w)]
+    total = uses[0]
+    for use in uses[1:]:
+        total = T.add(total, use)
+    _assert_same_gradients(tape, T.reduce_sum(total))
+
+
+def test_backward_fan_in_on_a_0d_leaf():
+    # 0-d gradients arrive as numpy scalars, and two of them sum to a
+    # numpy scalar, which cannot be summed into in place
+    tape = T.Tape()
+    x = tape.leaf(0.7)
+    _assert_same_gradients(tape, T.add(T.mul(x, x), T.exp(x)))
+
+
+def test_backward_never_writes_a_gradient_two_sources_share():
+    # add's VJP hands one array to h and to x, and h's VJP hands that
+    # same array to x and y
+    tape = T.Tape()
+    x = tape.leaf([1.0, -2.0, 0.5])
+    y = tape.leaf([0.25, 3.0, -1.5])
+    h = T.add(x, y)
+    loss = T.reduce_sum(T.add(h, x))
+    _assert_same_gradients(tape, loss)
+    grads = T.backward(tape, loss)
+    np.testing.assert_array_equal(grads[y.node], [1.0, 1.0, 1.0])
+    np.testing.assert_array_equal(grads[x.node], [2.0, 2.0, 2.0])
+
+
+def test_backward_fan_in_widens_to_float64():
+    # two float32 gradients, then a float64 one: the float64 use is
+    # recorded first, so its gradient arrives last and the sum must widen
+    tape = T.Tape()
+    x = tape.leaf([0.1, 0.2, 0.3])
+    wide = T.record(x.data, (x,), lambda g: (g,))
+    narrow = [T.record(x.data.astype(np.float32), (x,),
+                       lambda g: (g.astype(np.float32),)) for _ in range(2)]
+    loss = T.reduce_sum(T.add(T.add(narrow[0], narrow[1]), wide))
+    _assert_same_gradients(tape, loss)
+    assert T.backward(tape, loss)[x.node].dtype == np.float64
+
+
+def _cast(a):
+    """``a`` in the other float dtype; its VJP returns ``a``'s dtype, so
+    gradients of both dtypes can meet at one node."""
+    wide = np.float64 if a.dtype == np.float32 else np.float32
+    return T.record(a.data.astype(wide), (a,),
+                    lambda g, dtype=a.dtype: (g.astype(dtype),))
+
+
+@st.composite
+def _random_graphs(draw):
+    """A tape of add, mul, reshape, reduce_sum, contract and casts over a
+    few 0-d or 2-D leaves of either dtype, each leaf and result used any
+    number of times; the loss sums every result no op consumed."""
+    tape = T.Tape()
+    n_leaves = draw(st.integers(1, 3))
+    nodes = []
+    for _ in range(n_leaves):
+        shape = draw(st.sampled_from([(2, 3), (), (3, 2)]))
+        values = draw(st.lists(st.floats(-2, 2, width=32),
+                               min_size=math.prod(shape),
+                               max_size=math.prod(shape)))
+        dtype = draw(st.sampled_from([np.float64, np.float32]))
+        nodes.append(tape.leaf(np.array(values, dtype=dtype).reshape(shape)))
+    for _ in range(draw(st.integers(1, 10))):
+        op = draw(st.sampled_from(["add", "mul", "reshape", "reduce_sum",
+                                   "contract", "cast"]))
+        a = draw(st.sampled_from(nodes[:n_leaves] if draw(st.booleans())
+                                 else nodes))
+        if op == "cast":
+            nodes.append(_cast(a))
+        elif op == "reshape":
+            shape = draw(st.sampled_from(
+                [s for s in [a.shape[::-1], (a.data.size,), (), (2, 3)]
+                 if math.prod(s) == a.data.size]))
+            nodes.append(T.reshape(a, shape))
+        elif op == "reduce_sum":
+            axes = draw(st.sampled_from([None] + list(range(a.ndim))))
+            nodes.append(T.reduce_sum(a, axes=axes,
+                                      keepdims=draw(st.booleans())))
+        elif op == "contract":
+            # a second operand of the same shape or transposed; each
+            # index is kept or summed
+            if not a.ndim:
+                continue
+            b = draw(st.sampled_from([n for n in nodes if n.shape
+                                      in (a.shape, a.shape[::-1])]))
+            letters = "ijk"[:a.ndim]
+            b_spec = letters if b.shape == a.shape else letters[::-1]
+            out = "".join(i for i in letters if draw(st.booleans()))
+            nodes.append(T.contract(a, b, f"{letters},{b_spec}->{out}"))
+        else:
+            b = draw(st.sampled_from([n for n in nodes if n.shape == a.shape
+                                      or not n.ndim or not a.ndim]))
+            nodes.append((T.add if op == "add" else T.mul)(a, b))
+    consumed = {i for n in nodes for i in tape._nodes[n.node][0]}
+    sinks = [n for n in nodes if n.node not in consumed]
+    loss = T.reduce_sum(sinks[0])
+    for sink in sinks[1:]:
+        loss = T.add(loss, T.reduce_sum(sink))
+    return tape, loss
+
+
+@settings(max_examples=300)
+@given(_random_graphs())
+def test_backward_matches_fresh_array_fan_in(graph):
+    _assert_same_gradients(*graph)
 
 
 def test_backward_requires_scalar_loss():
