@@ -165,16 +165,20 @@ def cmd_route(args) -> int:
                   for params, config in layers]
     model = CapsuleClassifier(layers, n_classes)
     caps, labels = read_capsules(args.input)
-    probs = model.predict_proba(caps)
+    try:
+        probs = model.predict_proba(caps)
+        if args.trace:
+            _dump_trace(model, caps, args.trace)
+    except DomainError as e:
+        print(f"numeric failure: {e}", file=sys.stderr)
+        return 3
     print("sample," + ",".join(f"p{k}" for k in range(n_classes)))
     for i, row in enumerate(probs):
         print(f"{i}," + ",".join(f"{p:.6f}" for p in row))
     if labels is not None and len(labels):
         acc = float((probs.argmax(axis=1) == labels).mean())
         print(f"accuracy,{acc:.4f}")
-
     if args.trace:
-        _dump_trace(model, caps, args.trace)
         print(f"trace written to {args.trace}")
     return 0
 
@@ -183,9 +187,10 @@ def _dump_trace(model, caps, path):
     """Write the routing trace of the first chunk ``predict_proba`` routes."""
     current = CapsuleBatch(T.asarray(caps.scores)[:CHUNK_SAMPLES],
                            T.asarray(caps.poses)[:CHUNK_SAMPLES])
-    doc = {"layers": []}
+    doc, workspace = {"layers": []}, {}
     for params, config in model.layers:
-        out, trace = route(params, current, config, want_trace=True)
+        out, trace = route(params, current, config, want_trace=True,
+                           workspace=workspace)
         doc["layers"].append({
             "iterations": [
                 {

@@ -20,7 +20,9 @@ records one tape node with a closed-form VJP, where a composition of
 generic ops would record, and keep a 5-D (batch, n_in, n_out, d_cov,
 d_out) temporary for, each step. In :func:`route`, the squared
 deviations (v - mu)^2 that an M-step fits its variances from feed the
-next E-step's log-density, which drops them once used.
+next E-step's log-density, which drops them once used. Only an
+untracked :func:`route` takes a workspace, which its caller keeps across
+calls: it holds the votes and that one (v - mu)^2 buffer.
 
 Three parameter-sharing modes exist:
 
@@ -316,6 +318,16 @@ def _check_layout(params: RoutingParams, config: RoutingConfig) -> None:
 # the four phases
 
 
+def _scratch(workspace: dict, name: str, shape, dtype) -> np.ndarray:
+    """A C-contiguous ``shape`` view of the flat buffer ``workspace[name]``,
+    replaced when it is too small or of another dtype."""
+    size = math.prod(shape)
+    buf = workspace.get(name)
+    if buf is None or buf.size < size or buf.dtype != dtype:
+        buf = workspace[name] = np.empty(size, dtype)
+    return buf[:size].reshape(shape)
+
+
 def compute_votes(params: RoutingParams, caps: CapsuleBatch,
                   config: RoutingConfig, out_bias=None) -> Tensor:
     """Per-pair predictions V of shape (batch, n_in, n_out, d_cov, d_out).
@@ -325,6 +337,11 @@ def compute_votes(params: RoutingParams, caps: CapsuleBatch,
     indexes the sharing mode drops. Variable-output mode has no learned
     bias and requires ``out_bias`` of shape (n_out, d_cov, d_out).
     """
+    return _compute_votes(params, caps, config, out_bias, None)
+
+
+def _compute_votes(params, caps, config, out_bias, workspace) -> Tensor:
+    """:func:`compute_votes`, in ``workspace``'s votes buffer if given."""
     poses = T.as_tensor(caps.poses)
     _, n, c, d = poses.shape
     if (c, d) != (config.d_cov, config.d_in):
@@ -349,7 +366,15 @@ def compute_votes(params: RoutingParams, caps: CapsuleBatch,
                 f" got {bias.shape}"
             )
         wd = wd[None]  # an output axis of length 1
-    base = np.matmul(pd[:, :, None], wd)
+    mm_dtype = np.result_type(pd, wd)
+    out = None if workspace is None else _scratch(
+        workspace, "votes", (len(pd), n) + bias.shape[-3:],
+        np.result_type(mm_dtype, bias.data))
+    # the product goes there only in its own shape and dtype, so the
+    # buffer never decides which loop numpy computes it with
+    fits = (out is not None and out.dtype == mm_dtype
+            and config.mode != "variable_output")
+    base = np.matmul(pd[:, :, None], wd, out=out if fits else None)
     w_spec = "ijdh" if config.mode == "fixed" else "jdh"
     base_shape, bias_shape, w_shape = base.shape, bias.shape, weights.shape
 
@@ -359,12 +384,15 @@ def compute_votes(params: RoutingParams, caps: CapsuleBatch,
                 T._product(g_base, "bijch", pd, "bicd", w_spec)
                 .reshape(w_shape), T._unbroadcast(g, bias_shape))
 
-    return T.record(base + bias.data, (poses, weights, bias), vjp)
+    return T.record(np.add(base, bias.data, out=out), (poses, weights, bias),
+                    vjp)
 
 
-def _squared_deviations(v: np.ndarray, mu: np.ndarray) -> np.ndarray:
+def _squared_deviations(v: np.ndarray, mu: np.ndarray,
+                        workspace: dict | None = None) -> np.ndarray:
     """(v - mu)^2 of 5-D votes about 4-D output means, in one buffer."""
-    sq = v - mu[:, None]
+    sq = np.subtract(v, mu[:, None], out=None if workspace is None else
+                     _scratch(workspace, "sq", v.shape, np.result_type(v, mu)))
     sq *= sq
     return sq
 
@@ -500,7 +528,8 @@ def m_step(votes: Tensor, used: Tensor, ignored: Tensor,
 
 
 def _m_step(votes: Tensor, used: Tensor, ignored: Tensor,
-            params: RoutingParams, config: RoutingConfig
+            params: RoutingParams, config: RoutingConfig,
+            workspace: dict | None = None
             ) -> tuple[RoutingOutput, np.ndarray]:
     """:func:`m_step` and its (v - mu)^2, for the next E-step."""
     beta_use = T.as_tensor(params.beta_use)
@@ -510,22 +539,32 @@ def _m_step(votes: Tensor, used: Tensor, ignored: Tensor,
 
     denom = T.add(T.reduce_sum(used, axes=1), config.denom_eps)
     poses = _weighted_mean(used, votes, denom)
-    sq = _squared_deviations(votes.data, poses.data)
+    sq = _squared_deviations(votes.data, poses.data, workspace)
     variances = _weighted_variance(used, votes, poses, denom,
                                    config.var_floor, sq)
     return RoutingOutput(scores, poses, variances), sq
 
 
 def route(params: RoutingParams, caps: CapsuleBatch, config: RoutingConfig,
-          out_bias=None, want_trace: bool = False):
+          out_bias=None, want_trace: bool = False,
+          workspace: dict | None = None):
     """Run the full loop: votes once, then n_iters of E-step/D-step/M-step.
 
     The whole computation lives on one tape, so gradients flow through
     every iteration. Returns the final RoutingOutput, plus a RoutingTrace
     of detached per-iteration arrays when ``want_trace`` is set. Raises
     DomainError when the final outputs are not finite.
+
+    ``workspace``, a dict its caller creates empty and keeps across
+    untracked calls only, holds the votes and one (v - mu)^2 buffer;
+    with a tracked input it is a ValueError, as the VJPs read the votes.
     """
-    votes = compute_votes(params, caps, config, out_bias=out_bias)
+    if workspace is not None and any(
+            getattr(x, "tape", None) is not None for x in (
+                *dict(params.items()).values(), caps.scores, caps.poses,
+                out_bias)):
+        raise ValueError("a routing workspace is for untracked calls only")
+    votes = _compute_votes(params, caps, config, out_bias, workspace)
     in_scores = T.as_tensor(caps.scores)
     state, sq = None, None
     steps: list[IterationTrace] = []
@@ -533,7 +572,7 @@ def route(params: RoutingParams, caps: CapsuleBatch, config: RoutingConfig,
         probs = _e_step(votes, state, it == 0, sq)
         sq = None  # free it before the M-step allocates the next
         used, ignored = d_step(in_scores, probs)
-        state, sq = _m_step(votes, used, ignored, params, config)
+        state, sq = _m_step(votes, used, ignored, params, config, workspace)
         if want_trace:
             steps.append(IterationTrace(
                 probs=np.array(probs.data, copy=True),

@@ -327,6 +327,27 @@ def test_route_dim_mismatch_exits_2(toy_files, tmp_path, capsys):
     assert "(2, 2)" in err and "(4, 4)" in err  # found vs expected dims
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_route_nonfinite_routing_exits_3(tmp_path, capsys):
+    # the file is valid and finite, but one pose entry overflows once
+    # squared: a failed numeric check, as in train, not a data error
+    from capsem.data import write_capsules
+    from capsem.routing import CapsuleBatch
+    model = tmp_path / "m.model"
+    write_model(model, build_constellation_classifier(4, 4, 3).layers, 3)
+    caps, labels = make_dataset(ConstellationSpec(), 5)
+    poses = np.array(caps.poses)
+    poses[2, 1, 0, 0] = 1e200
+    bad = tmp_path / "big.caps"
+    write_capsules(bad, CapsuleBatch(caps.scores, poses), labels)
+    capsys.readouterr()
+    assert main(["route", "--model", str(model), "--input", str(bad),
+                 "--trace", str(tmp_path / "t.json")]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("numeric failure: ") and "non-finite" in err
+
+
 @pytest.mark.filterwarnings("error")
 def test_route_empty_file_prints_only_header(tmp_path, capsys):
     from capsem.classifier import build_constellation_classifier

@@ -1002,3 +1002,100 @@ def test_float32_stays_float32_through_backward(mode):
     leaves = dict(params.items(), scores=caps.scores, poses=caps.poses)
     for name, leaf in leaves.items():
         assert grads[leaf.node].dtype == np.float32, name
+
+
+# ---------------------------------------------------------------------------
+# the untracked workspace
+
+# (weights and betas, biases or out_bias, capsules): in the last case the
+# votes matmul is float32 and the votes float64, so the matmul does not
+# write into the workspace
+WORKSPACE_DTYPES = {"float64": ("f8", "f8", "f8"),
+                    "float32": ("f4", "f4", "f4"),
+                    "float32_params_float64_caps": ("f4", "f4", "f8"),
+                    "float64_bias": ("f4", "f8", "f4")}
+
+
+def _workspace_case(mode, dtypes, seed=31):
+    """Config, params, out_bias and batches of 1, 100, 50 and 0 samples
+    at the desk model's layer-0 shapes, in the given dtypes."""
+    rng = np.random.default_rng(seed)
+    w, b, c = dtypes
+    cfg = RoutingConfig(n_out="variable" if mode == "variable_output" else 32,
+                        n_in=10 if mode == "fixed" else None,
+                        d_cov=4, d_in=4, d_out=4)
+    p = RoutingParams.from_items(
+        (name, value.astype(b if name == "biases" else w))
+        for name, value in random_params(rng, cfg).items())
+    out_bias = (random_out_bias(rng, cfg, n_out=32).astype(b)
+                if mode == "variable_output" else None)
+    caps = random_caps(rng, cfg, batch=100, n=10)
+    scores, poses = (np.asarray(x, dtype=c) for x in (caps.scores, caps.poses))
+    return cfg, p, out_bias, [CapsuleBatch(scores[:k], poses[:k])
+                              for k in (1, 100, 50, 0)]
+
+
+def _routed_arrays(result):
+    """Every array a route() call returns, outputs then trace, by name."""
+    out, trace = result if isinstance(result, tuple) else (result, None)
+    arrays = {name: getattr(out, name).data
+              for name in ("scores", "poses", "variances")}
+    for k, step in enumerate(trace.iterations if trace else ()):
+        arrays.update((f"{name}{k}", value)
+                      for name, value in vars(step).items())
+    return arrays
+
+
+def test_workspace_changes_no_bit():
+    # one workspace serves every call below, across modes, dtypes and
+    # batch sizes that grow its buffers and then reuse them in part; each
+    # result must equal the same call without it, dtype included
+    workspace = {}
+    for mode in R.MODES:
+        for dtypes in WORKSPACE_DTYPES.values():
+            cfg, p, out_bias, batches = _workspace_case(mode, dtypes)
+            for k, caps in enumerate(batches):
+                kw = dict(out_bias=out_bias, want_trace=k == 2)
+                got = _routed_arrays(route(p, caps, cfg, workspace=workspace,
+                                           **kw))
+                want = _routed_arrays(route(p, caps, cfg, **kw))
+                assert got.keys() == want.keys()
+                for name, value in want.items():
+                    where = (mode, dtypes, len(T.asarray(caps.scores)), name)
+                    assert got[name].dtype == value.dtype, where
+                    assert np.array_equal(got[name], value), where
+    assert sorted(workspace) == ["sq", "votes"]
+
+
+@pytest.mark.parametrize("mode", R.MODES)
+def test_nothing_returned_aliases_the_workspace(mode):
+    cfg, p, out_bias, batches = _workspace_case(mode,
+                                                WORKSPACE_DTYPES["float64"])
+    workspace = {}
+    for caps in batches[1:3]:
+        routed = _routed_arrays(route(p, caps, cfg, out_bias=out_bias,
+                                      want_trace=True, workspace=workspace))
+        for name, value in routed.items():
+            for buf in workspace.values():
+                assert not np.shares_memory(value, buf), name
+
+
+@pytest.mark.parametrize("tracked", ["weights", "beta_ign", "scores", "poses",
+                                     "out_bias"])
+def test_workspace_refuses_tracked_inputs(tracked):
+    # a tracked route's VJPs read its votes, which the workspace's next
+    # call would overwrite
+    cfg, p, out_bias, batches = _workspace_case("variable_output",
+                                                WORKSPACE_DTYPES["float64"])
+    tape = T.Tape()
+    fields = dict(p.items(), scores=batches[1].scores,
+                  poses=batches[1].poses, out_bias=out_bias)
+    fields[tracked] = tape.leaf(fields[tracked])
+    caps = CapsuleBatch(fields.pop("scores"), fields.pop("poses"))
+    out_bias = fields.pop("out_bias")
+    params = RoutingParams.from_items(fields.items())
+    workspace = {}
+    with pytest.raises(ValueError, match="untracked"):
+        route(params, caps, cfg, out_bias=out_bias, workspace=workspace)
+    assert workspace == {}
+    route(params, caps, cfg, out_bias=out_bias)  # fine without one
