@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy.special import expit
 
 from capsem import tensor as T
@@ -405,17 +406,31 @@ FUSED_OPS = {
 }
 
 
-def _fused_operands(seed):
+def _fused_operands(seed, shape=(2, 3, 2, 2, 3), dtype=np.float64):
     """Random operands off the routing fixed point: the means are not the
     used-weighted means of the votes, so sum_i u (v - mu) != 0, and the
-    denominators are not sum_i u."""
+    denominators are not sum_i u. ``shape`` is (batch, n_in, n_out,
+    d_cov, d_out)."""
     rng = np.random.default_rng(seed)
-    b, i, j, c, h = 2, 3, 2, 2, 3
-    return dict(votes=rng.normal(size=(b, i, j, c, h)),
-                mean=rng.normal(size=(b, j, c, h)),
-                var=rng.uniform(0.3, 2.0, size=(b, j, c, h)),
-                used=rng.uniform(0.05, 1.0, size=(b, i, j)),
-                denom=rng.uniform(0.5, 2.0, size=(b, j)))
+    b, i, j, c, h = shape
+    x = dict(votes=rng.normal(size=(b, i, j, c, h)),
+             mean=rng.normal(size=(b, j, c, h)),
+             var=rng.uniform(0.3, 2.0, size=(b, j, c, h)),
+             used=rng.uniform(0.05, 1.0, size=(b, i, j)),
+             denom=rng.uniform(0.5, 2.0, size=(b, j)))
+    return {k: v.astype(dtype) for k, v in x.items()}
+
+
+def _fused_results(fn, x, names):
+    """fn's output on tape leaves of x and the gradients of a random
+    weighted sum of it with respect to ``names``."""
+    tape = T.Tape()
+    leaves = {k: tape.leaf(v) for k, v in x.items()}
+    out = fn(leaves)
+    weights = np.random.default_rng(33).normal(size=out.shape).astype(
+        out.dtype)
+    grads = T.backward(tape, T.reduce_sum(T.mul(out, weights)))
+    return out.data, [grads[leaves[k].node] for k in names]
 
 
 @pytest.mark.parametrize("op,wrt", [(op, name) for op, (_, _, names)
@@ -432,22 +447,34 @@ def test_fused_op_vjp_matches_central_differences(op, wrt):
     assert T.grad_check(f, x[wrt]) <= 1e-6
 
 
-@pytest.mark.parametrize("op", FUSED_OPS)
-def test_fused_op_matches_composition(op):
+# (batch, n_in, n_out, d_cov, d_out): a general case, then the extents
+# that the batched matmuls fold to 1 or that make them empty
+FUSED_SHAPES = {"": (2, 3, 2, 2, 3), "-empty_batch": (0, 3, 2, 2, 3),
+                "-one_input": (2, 1, 2, 2, 3), "-one_output": (2, 3, 1, 2, 3),
+                "-scalar_poses": (2, 3, 2, 1, 1)}
+
+
+@pytest.mark.parametrize("op,shape", [
+    pytest.param(op, shape, id=op + suffix)
+    for op in FUSED_OPS for suffix, shape in FUSED_SHAPES.items()])
+def test_fused_op_matches_composition(op, shape):
     fused, composed, names = FUSED_OPS[op]
-    x = _fused_operands(32)
-    results = []
-    for fn in (fused, composed):
-        tape = T.Tape()
-        leaves = {k: tape.leaf(v) for k, v in x.items()}
-        out = fn(leaves)
-        weights = np.random.default_rng(33).normal(size=out.shape)
-        grads = T.backward(tape, T.reduce_sum(T.mul(out, weights)))
-        results.append((out.data, [grads[leaves[k].node] for k in names]))
-    (out_f, grads_f), (out_c, grads_c) = results
+    x = _fused_operands(32, shape)
+    out_f, grads_f = _fused_results(fused, x, names)
+    out_c, grads_c = _fused_results(composed, x, names)
     np.testing.assert_allclose(out_f, out_c, rtol=0, atol=1e-12)
     for name, gf, gc in zip(names, grads_f, grads_c):
         np.testing.assert_allclose(gf, gc, rtol=0, atol=1e-12, err_msg=name)
+
+
+@pytest.mark.parametrize("op", FUSED_OPS)
+def test_fused_op_keeps_float32(op):
+    fused, _, names = FUSED_OPS[op]
+    out, grads = _fused_results(fused, _fused_operands(34, dtype=np.float32),
+                                names)
+    assert out.dtype == np.float32
+    for name, g in zip(names, grads):
+        assert g.dtype == np.float32, name
 
 
 def test_desk_route_tape_length_is_pinned():
@@ -949,6 +976,33 @@ def test_route_overflow_is_a_domain_error():
     assert np.all(np.isfinite(ok.scores.data))
     with pytest.raises(DomainError, match="non-finite"):
         route(p, CapsuleBatch(scores, 1e200 * poses), cfg)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("mode", ["fixed", "variable_input",
+                                  "variable_output"])
+@settings(max_examples=60)
+@given(seed=st.integers(0, 2**32 - 1),
+       # log10 of the pose scale; squares overflow from about 154 on
+       pose_exponent=st.integers(-3, 200) | st.integers(140, 200),
+       scores=st.lists(st.sampled_from([-LOGIT_MAX, LOGIT_MAX])
+                       | st.floats(-LOGIT_MAX, LOGIT_MAX),
+                       min_size=1, max_size=8))
+@example(seed=0, pose_exponent=200, scores=[LOGIT_MAX, -LOGIT_MAX])
+def test_route_finite_in_gives_finite_out_or_domain_error(
+        mode, seed, pose_exponent, scores):
+    # poses across the finite range and scores at the clamp: either every
+    # output is finite or the overflow is reported, never a NaN
+    rng = np.random.default_rng(seed)
+    cfg, p, caps, out_bias = random_instance(rng, mode=mode, small=True)
+    caps = CapsuleBatch(np.resize(scores, caps.scores.shape),
+                        10.0 ** pose_exponent * caps.poses)
+    try:
+        out = route(p, caps, cfg, out_bias=out_bias)
+    except DomainError:
+        return
+    for value in (out.scores, out.poses, out.variances):
+        assert np.all(np.isfinite(value.data))
 
 
 def test_route_in_float32_mode():
