@@ -13,13 +13,18 @@ are computed once per call; the loop then alternates three phases:
           shares it uses.
 
 Every phase records tape ops, so gradients flow through every iteration
-of the loop. The votes, the E-step's Gaussian log-density and the
-M-step's weighted mean and variance are fused ops built on
-:func:`capsem.tensor.record`: each computes its formula in numpy and
-records one tape node with a closed-form VJP, where a composition of
-generic ops would record, and keep a 5-D (batch, n_in, n_out, d_cov,
-d_out) temporary for, each step. Their sums over inputs and over pose
-components run as batched matmuls (:func:`capsem.tensor._product`).
+of the loop. Each op is fused, built on :func:`capsem.tensor.record`: it
+computes its formula in numpy and records one tape node with a
+closed-form VJP, where a composition of generic ops would record many
+(and keep a 5-D (batch, n_in, n_out, d_cov, d_out) temporary for some).
+The nodes are the votes, once per call, then per iteration the E-step's
+Gaussian log-density and assignment, the D-step's used and ignored
+shares, and the M-step's net scores, denominator, weighted mean and
+weighted variance. The first assignment is a uniform constant, so a
+layer records 8 n_iters - 1 nodes (23 at n_iters = 3), and 20 when the
+input scores are untracked too, as the first D-step and denominator are
+then constants. The sums over inputs and over pose components run as
+batched matmuls (:func:`capsem.tensor._product`).
 In :func:`route`, the squared deviations (v - mu)^2 that an M-step fits
 its variances from feed the next E-step's log-density, which drops them
 once used. Only an untracked :func:`route` takes a workspace, which its
@@ -46,6 +51,7 @@ from dataclasses import dataclass
 from typing import Literal, Union
 
 import numpy as np
+from scipy.special import expit
 
 from . import tensor as T
 from .errors import ConfigError, DomainError, ShapeError
@@ -433,10 +439,22 @@ def _log_density(votes: Tensor, state: RoutingOutput,
 
 
 def _assignment_probs(log_dens: Tensor, out_scores: Tensor) -> Tensor:
-    b, i, j = log_dens.shape
-    log_gate = T.neg(T.softplus(T.neg(out_scores)))  # log logistic(score)
-    logits = T.add(T.reshape(log_gate, (b, 1, j)), log_dens)
-    return T.softmax(logits, axis=2)
+    """softmax over outputs of log logistic(score_j) + log_dens_ij, as one
+    tape node; with p the result, the VJPs of g are dl = p (g - sum_j g p)
+    and dscore = sum_i dl expit(-score)."""
+    s = out_scores.data
+    log_gate = -np.logaddexp(np.zeros((), dtype=s.dtype), -s)
+    logits = log_gate[:, None] + log_dens.data
+    lse = np.max(logits, axis=2, keepdims=True)
+    lse = np.log(np.exp(logits - lse).sum(axis=2, keepdims=True)) + lse
+    p = np.exp(logits - lse)
+
+    def vjp(g):
+        dl = g * p
+        dl -= p * dl.sum(axis=2, keepdims=True)
+        return dl, dl.sum(axis=1) * expit(-s)
+
+    return T.record(p, (log_dens, out_scores), vjp)
 
 
 def e_step(votes: Tensor, state: RoutingOutput | None,
@@ -470,10 +488,13 @@ def d_step(in_scores, probs: Tensor) -> tuple[Tensor, Tensor]:
     ignored = logistic(score) - used. Together with the gated-off remainder
     1 - logistic(score) the three parts account for the whole capsule."""
     scores = T.as_tensor(in_scores)
-    b, i = scores.shape
-    gate = T.reshape(T.logistic(scores), (b, i, 1))
-    used = T.mul(gate, probs)
-    ignored = T.sub(gate, used)
+    probs = T.as_tensor(probs, like=scores)
+    out = expit(scores.data)
+    gate, p, slope = out[..., None], probs.data, out * (1.0 - out)
+    used = T.record(gate * p, (scores, probs),
+                    lambda g: ((g * p).sum(axis=2) * slope, g * gate))
+    ignored = T.record(gate - used.data, (scores, used),
+                       lambda g: (g.sum(axis=2) * slope, -g))
     return used, ignored
 
 
@@ -521,6 +542,28 @@ def _weighted_variance(used: Tensor, votes: Tensor, mean: Tensor,
     return T.record(spread + floor, (used, votes, mean, denom), vjp)
 
 
+def _net_scores(used: Tensor, ignored: Tensor, beta_use: Tensor,
+                beta_ign: Tensor) -> Tensor:
+    """sum_i (u_ij beta_use - ig_ij beta_ign), shape (batch, n_out), as one
+    tape node; each beta's gradient is summed back to its mode's layout."""
+    u, ig, bu, bi = used.data, ignored.data, beta_use.data, beta_ign.data
+
+    def vjp(g):
+        g = np.broadcast_to(g[:, None], u.shape)
+        return (g * bu, -g * bi, T._unbroadcast(g * u, bu.shape),
+                T._unbroadcast(-g * ig, bi.shape))
+
+    return T.record((u * bu - ig * bi).sum(axis=1),
+                    (used, ignored, beta_use, beta_ign), vjp)
+
+
+def _denominator(used: Tensor, eps: float) -> Tensor:
+    """sum_i u_ij + eps, shape (batch, n_out), as one tape node."""
+    u = used.data
+    return T.record(u.sum(axis=1) + np.asarray(eps, dtype=u.dtype), (used,),
+                    lambda g: (np.broadcast_to(g[:, None], u.shape).copy(),))
+
+
 def m_step(votes: Tensor, used: Tensor, ignored: Tensor,
            params: RoutingParams, config: RoutingConfig) -> RoutingOutput:
     """Refit output scores and Gaussian models from the used shares.
@@ -537,12 +580,9 @@ def _m_step(votes: Tensor, used: Tensor, ignored: Tensor,
             workspace: dict | None = None
             ) -> tuple[RoutingOutput, np.ndarray]:
     """:func:`m_step` and its (v - mu)^2, for the next E-step."""
-    beta_use = T.as_tensor(params.beta_use)
-    beta_ign = T.as_tensor(params.beta_ign)
-    contrib = T.sub(T.mul(used, beta_use), T.mul(ignored, beta_ign))
-    scores = T.reduce_sum(contrib, axes=1)
-
-    denom = T.add(T.reduce_sum(used, axes=1), config.denom_eps)
+    scores = _net_scores(used, ignored, T.as_tensor(params.beta_use),
+                         T.as_tensor(params.beta_ign))
+    denom = _denominator(used, config.denom_eps)
     poses = _weighted_mean(used, votes, denom)
     sq = _squared_deviations(votes.data, poses.data, workspace)
     variances = _weighted_variance(used, votes, poses, denom,

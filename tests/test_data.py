@@ -713,3 +713,85 @@ def test_empty_dataset_round_trips(tmp_path):
     back, back_labels = D.read_capsules(path)
     assert np.asarray(back.scores).shape == (0, spec.caps_per_sample)
     assert len(back_labels) == 0
+
+
+# ---------------------------------------------------------------------------
+# total decoding: damaged files read back or raise DataFormatError
+
+
+def _damaged(blob: bytes):
+    """(description, bytes) for ``blob`` cut at every offset and with bits
+    0, 3 and 7 of every byte flipped; the files are small enough that the
+    stride over payload bytes is 1."""
+    for end in range(len(blob)):
+        yield f"cut at {end}", blob[:end]
+    for pos in range(len(blob)):
+        for bit in (0, 3, 7):
+            flipped = bytearray(blob)
+            flipped[pos] ^= 1 << bit
+            yield f"bit {bit} of byte {pos} flipped", bytes(flipped)
+
+
+def _undecoded(read, path, cases):
+    """The cases on which ``read`` neither returns nor raises
+    DataFormatError, with what it raised."""
+    failures = []
+    for what, blob in cases:
+        path.write_bytes(blob)
+        try:
+            read(path)
+        except DataFormatError:
+            pass
+        except Exception as e:  # noqa: BLE001 -- anything else is the bug
+            failures.append(f"{path.name}, {what}: {e!r}")
+    return failures
+
+
+def _small_files(tmp_path):
+    """A labelled capsule batch, a params file and a two-layer model,
+    each written in the binary container, with the reader of each."""
+    rng = np.random.default_rng(40)
+    batch = CapsuleBatch(rng.uniform(-3, 3, size=(2, 3)),
+                         rng.normal(size=(2, 3, 2, 2)))
+    D.write_capsules(tmp_path / "batch.caps", batch, [1, 0])
+    cfg = RoutingConfig(n_out=2, n_in=2, d_cov=1, d_in=2, d_out=2)
+    D.write_params(tmp_path / "layer.caps", random_params(rng, cfg), cfg)
+    first = RoutingConfig(n_out=2, d_cov=1, d_in=1, d_out=2, tie_betas=True)
+    second = RoutingConfig(n_out=2, n_in=2, d_cov=1, d_in=2, d_out=1)
+    D.write_model(tmp_path / "model.caps",
+                  [(random_params(rng, c), c) for c in (first, second)], 2)
+    return {"batch.caps": D.read_capsules, "layer.caps": D.read_params,
+            "model.caps": D.read_model}
+
+
+def test_damaged_binary_files_decode_or_raise_format_error(tmp_path):
+    failures = []
+    for name, read in _small_files(tmp_path).items():
+        blob = (tmp_path / name).read_bytes()
+        failures += _undecoded(read, tmp_path / f"damaged-{name}",
+                               _damaged(blob))
+    assert not failures, failures[:5]
+
+
+def test_cut_caps_json_decodes_or_raises_format_error(tmp_path):
+    path = tmp_path / "batch.json"
+    rng = np.random.default_rng(41)
+    D.write_capsules(path, CapsuleBatch(rng.uniform(-3, 3, size=(2, 2)),
+                                        rng.normal(size=(2, 2, 1, 2))), [0, 1])
+    blob = path.read_bytes()
+    cases = ((f"cut at {end}", blob[:end]) for end in range(len(blob)))
+    failures = _undecoded(D.read_capsules, tmp_path / "cut.json", cases)
+    assert not failures, failures[:5]
+
+
+def test_route_of_a_cut_capsule_file_exits_2(tmp_path, capsys):
+    from capsem.classifier import build_constellation_classifier
+    from capsem.cli import main
+    model = tmp_path / "m.caps"
+    D.write_model(model, build_constellation_classifier(4, 4, 3).layers, 3)
+    data = tmp_path / "data.caps"
+    D.write_capsules(data, *D.make_dataset(D.ConstellationSpec(), 4))
+    blob = data.read_bytes()
+    data.write_bytes(blob[:len(blob) // 2])
+    assert main(["route", "--model", str(model), "--input", str(data)]) == 2
+    assert "truncated" in capsys.readouterr().err

@@ -388,6 +388,37 @@ def _composed_variance(x):
     return T.add(_composed_mean(x["used"], T.square(diff), x["denom"]), 0.01)
 
 
+# the generic-op chains that the E-step assignment, the D-step split and
+# the M-step net scores and denominator replace
+
+
+def _composed_assignment(x):
+    b, i, j = x["log_dens"].shape
+    log_gate = T.neg(T.softplus(T.neg(x["out_scores"])))
+    logits = T.add(T.reshape(log_gate, (b, 1, j)), x["log_dens"])
+    return T.softmax(logits, axis=2)
+
+
+def _composed_split(x):
+    b, i = x["in_scores"].shape
+    gate = T.reshape(T.logistic(x["in_scores"]), (b, i, 1))
+    used = T.mul(gate, x["probs"])
+    return used, T.sub(gate, used)
+
+
+def _composed_net_scores(x, beta_use, beta_ign):
+    contrib = T.sub(T.mul(x["used"], x[beta_use]),
+                    T.mul(x["ignored"], x[beta_ign]))
+    return T.reduce_sum(contrib, axes=1)
+
+
+def _net_scores_case(beta_use, beta_ign):
+    return (lambda x: R._net_scores(x["used"], x["ignored"], x[beta_use],
+                                    x[beta_ign]),
+            lambda x: _composed_net_scores(x, beta_use, beta_ign),
+            tuple(dict.fromkeys(("used", "ignored", beta_use, beta_ign))))
+
+
 # op name -> (fused op, the same formula from generic tape ops, its inputs)
 FUSED_OPS = {
     "log_density": (
@@ -403,14 +434,33 @@ FUSED_OPS = {
             x["used"], x["votes"], x["mean"], x["denom"], 0.01,
             R._squared_deviations(x["votes"].data, x["mean"].data)),
         _composed_variance, ("used", "votes", "mean", "denom")),
+    "assignment_probs": (
+        lambda x: R._assignment_probs(x["log_dens"], x["out_scores"]),
+        _composed_assignment, ("log_dens", "out_scores")),
+    "d_step_used": (
+        lambda x: d_step(x["in_scores"], x["probs"])[0],
+        lambda x: _composed_split(x)[0], ("in_scores", "probs")),
+    "d_step_ignored": (
+        lambda x: d_step(x["in_scores"], x["probs"])[1],
+        lambda x: _composed_split(x)[1], ("in_scores", "probs")),
+    # the beta layouts of the fixed, variable_input and variable_output
+    # modes, and tied betas: one leaf passed twice
+    "net_scores_fixed": _net_scores_case("beta_use_ij", "beta_ign_ij"),
+    "net_scores_variable_input": _net_scores_case("beta_use_j", "beta_ign_j"),
+    "net_scores_variable_output": _net_scores_case("beta_use", "beta_ign"),
+    "net_scores_tied": _net_scores_case("beta_use_ij", "beta_use_ij"),
+    "denominator": (
+        lambda x: R._denominator(x["used"], 0.01),
+        lambda x: T.add(T.reduce_sum(x["used"], axes=1), 0.01), ("used",)),
 }
 
 
-def _fused_operands(seed, shape=(2, 3, 2, 2, 3), dtype=np.float64):
+def _fused_operands(seed, shape=(2, 3, 2, 2, 3), dtype=np.float64,
+                    saturated=False):
     """Random operands off the routing fixed point: the means are not the
     used-weighted means of the votes, so sum_i u (v - mu) != 0, and the
     denominators are not sum_i u. ``shape`` is (batch, n_in, n_out,
-    d_cov, d_out)."""
+    d_cov, d_out). ``saturated`` puts every score at +-LOGIT_MAX."""
     rng = np.random.default_rng(seed)
     b, i, j, c, h = shape
     x = dict(votes=rng.normal(size=(b, i, j, c, h)),
@@ -418,6 +468,17 @@ def _fused_operands(seed, shape=(2, 3, 2, 2, 3), dtype=np.float64):
              var=rng.uniform(0.3, 2.0, size=(b, j, c, h)),
              used=rng.uniform(0.05, 1.0, size=(b, i, j)),
              denom=rng.uniform(0.5, 2.0, size=(b, j)))
+    x.update(log_dens=rng.normal(0.0, 3.0, size=(b, i, j)),
+             out_scores=rng.uniform(-4.0, 4.0, size=(b, j)),
+             in_scores=rng.uniform(-4.0, 4.0, size=(b, i)),
+             probs=rng.uniform(0.05, 1.0, size=(b, i, j)),
+             ignored=rng.uniform(0.05, 1.0, size=(b, i, j)))
+    for layout, beta_shape in (("_ij", (i, j)), ("_j", (j,)), ("", ())):
+        for name in ("beta_use", "beta_ign"):
+            x[name + layout] = rng.normal(size=beta_shape)
+    if saturated:
+        for name in ("out_scores", "in_scores"):
+            x[name] = np.where(x[name] < 0, -LOGIT_MAX, LOGIT_MAX)
     return {k: v.astype(dtype) for k, v in x.items()}
 
 
@@ -433,11 +494,15 @@ def _fused_results(fn, x, names):
     return out.data, [grads[leaves[k].node] for k in names]
 
 
-@pytest.mark.parametrize("op,wrt", [(op, name) for op, (_, _, names)
-                                    in FUSED_OPS.items() for name in names])
-def test_fused_op_vjp_matches_central_differences(op, wrt):
+@pytest.mark.parametrize("op,wrt,saturated", [
+    pytest.param(op, name, saturated,
+                 id=f"{op}-{name}" + ("-saturated" if saturated else ""))
+    for op, (_, _, names) in FUSED_OPS.items() for name in names
+    for saturated in (False, True)
+    if not saturated or {"out_scores", "in_scores"} & set(names)])
+def test_fused_op_vjp_matches_central_differences(op, wrt, saturated):
     fused = FUSED_OPS[op][0]
-    x = _fused_operands(30)
+    x = _fused_operands(30, saturated=saturated)
     consts = {k: T.tensor(v) for k, v in x.items()}
     weights = np.random.default_rng(31).normal(size=fused(consts).shape)
 
@@ -454,12 +519,14 @@ FUSED_SHAPES = {"": (2, 3, 2, 2, 3), "-empty_batch": (0, 3, 2, 2, 3),
                 "-scalar_poses": (2, 3, 2, 1, 1)}
 
 
-@pytest.mark.parametrize("op,shape", [
-    pytest.param(op, shape, id=op + suffix)
-    for op in FUSED_OPS for suffix, shape in FUSED_SHAPES.items()])
-def test_fused_op_matches_composition(op, shape):
+@pytest.mark.parametrize("op,shape,saturated", [
+    pytest.param(op, shape, False, id=op + suffix)
+    for op in FUSED_OPS for suffix, shape in FUSED_SHAPES.items()] + [
+    pytest.param(op, FUSED_SHAPES[""], True, id=op + "-saturated")
+    for op in FUSED_OPS])
+def test_fused_op_matches_composition(op, shape, saturated):
     fused, composed, names = FUSED_OPS[op]
-    x = _fused_operands(32, shape)
+    x = _fused_operands(32, shape, saturated=saturated)
     out_f, grads_f = _fused_results(fused, x, names)
     out_c, grads_c = _fused_results(composed, x, names)
     np.testing.assert_allclose(out_f, out_c, rtol=0, atol=1e-12)
@@ -478,15 +545,19 @@ def test_fused_op_keeps_float32(op):
 
 
 def test_desk_route_tape_length_is_pinned():
-    # the votes and each E-step log-density, M-step mean and M-step
-    # variance are one node; composing them from generic ops again would
-    # record 86 and 97 nodes
+    # one node for the votes, then per iteration: the log-density and the
+    # assignment (E), used and ignored (D), net scores, denominator, mean
+    # and variance (M), 8 nodes; on the first iteration, whose uniform
+    # assignment is a constant, untracked input scores leave used,
+    # ignored and the denominator unrecorded: 1 + 3 + 2 * 8 = 20, and
+    # 1 + 6 + 2 * 8 = 23 with tracked inputs. The generic-op chains these
+    # nodes replace recorded 45 and 55
     from capsem.classifier import build_constellation_classifier
     model = build_constellation_classifier(d_cov=4, d_in=4, n_classes=5)
     (p0, cfg0), (p1, cfg1) = model.layers
     rng = np.random.default_rng(34)
-    for params, cfg, n, tracked_caps, nodes in ((p0, cfg0, 10, False, 45),
-                                                (p1, cfg1, 32, True, 55)):
+    for params, cfg, n, tracked_caps, nodes in ((p0, cfg0, 10, False, 20),
+                                                (p1, cfg1, 32, True, 23)):
         tape = T.Tape()
         pt = params.tracked(tape)
         caps = random_caps(rng, cfg, batch=20, n=n)
@@ -1003,6 +1074,42 @@ def test_route_finite_in_gives_finite_out_or_domain_error(
         return
     for value in (out.scores, out.poses, out.variances):
         assert np.all(np.isfinite(value.data))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("mode", R.MODES)
+@settings(max_examples=50)
+@given(seed=st.integers(0, 2**32 - 1),
+       # log10 of the pose scale, up to 1e40; from about 1e147 the
+       # forward stays finite but the backward overflows
+       pose_exponent=st.integers(-3, 40) | st.integers(30, 40),
+       scores=st.lists(st.sampled_from([-LOGIT_MAX, LOGIT_MAX])
+                       | st.floats(-LOGIT_MAX, LOGIT_MAX),
+                       min_size=1, max_size=8))
+@example(seed=0, pose_exponent=40, scores=[LOGIT_MAX, -LOGIT_MAX])
+def test_route_gradients_are_finite_or_a_domain_error(
+        mode, seed, pose_exponent, scores):
+    # saturated gates and assignments must not turn a finite forward into
+    # a NaN or infinite gradient for any leaf
+    rng = np.random.default_rng(seed)
+    cfg, p, caps, out_bias = random_instance(rng, mode=mode, small=True)
+    caps = CapsuleBatch(np.resize(scores, caps.scores.shape),
+                        10.0 ** pose_exponent * caps.poses)
+    tape = T.Tape()
+    params, batch = p.tracked(tape), caps.tracked(tape)
+    leaves = [*dict(params.items()).values(), batch.scores, batch.poses]
+    if out_bias is not None:
+        out_bias = tape.leaf(out_bias)
+        leaves.append(out_bias)
+    try:
+        out = route(params, batch, cfg, out_bias=out_bias)
+    except DomainError:
+        return
+    loss = T.add(T.reduce_sum(T.mul(out.scores, 0.5)),
+                 T.reduce_sum(T.add(out.poses, out.variances)))
+    grads = T.backward(tape, loss)
+    for leaf in leaves:
+        assert np.all(np.isfinite(grads[leaf.node]))
 
 
 def test_route_in_float32_mode():
