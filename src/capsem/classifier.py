@@ -192,12 +192,14 @@ def _class_scores(model: CapsuleClassifier, caps: CapsuleBatch) -> np.ndarray:
 
 def evaluate(model: CapsuleClassifier, caps: CapsuleBatch,
              labels) -> tuple[float, float]:
-    """Mean cross-entropy and accuracy over a labeled capsule batch."""
+    """Mean cross-entropy and accuracy over a labeled capsule batch,
+    whose labels it checks before it routes."""
     labels = np.asarray(labels)
     if len(labels) == 0:
         return float("nan"), float("nan")
+    targets = to_one_hot(labels, model.n_classes)
     scores = _class_scores(model, caps)
-    loss = cross_entropy(scores, to_one_hot(labels, model.n_classes))
+    loss = cross_entropy(scores, targets)
     return loss.item(), float(np.mean(scores.argmax(axis=1) == labels))
 
 
@@ -207,8 +209,8 @@ def train_classifier(model: CapsuleClassifier, train_caps: CapsuleBatch,
                      on_epoch=None) -> list[EpochLog]:
     """Train in place; returns the per-epoch validation log.
 
-    Epoch 0 is logged before any update. Raises DomainError if the
-    training loss stops being finite.
+    Epoch 0 is logged before any update. Raises DomainError on a label
+    outside [0, n_classes) and if the training loss stops being finite.
     """
     scores = T.asarray(train_caps.scores)
     poses = T.asarray(train_caps.poses)

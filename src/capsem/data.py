@@ -165,8 +165,16 @@ def make_dataset(spec: ConstellationSpec, n_samples: int,
     return CapsuleBatch(clamp_scores(scores), poses), labels
 
 
+def _check_labels(labels: np.ndarray, stop: int, name: str) -> None:
+    """DomainError unless every label is an integer in [0, stop)."""
+    if labels.size and (labels.dtype.kind not in "iu" or not np.all(
+            (labels >= 0) & (labels < stop))):
+        raise DomainError(f"labels must be integers in [0, {name})")
+
+
 def to_one_hot(labels: np.ndarray, n_classes: int) -> np.ndarray:
     labels = np.asarray(labels)
+    _check_labels(labels, n_classes, "n_classes")
     out = np.zeros((labels.size, n_classes))
     out[np.arange(labels.size), labels] = 1.0
     return out
@@ -358,9 +366,7 @@ def write_capsules(path, batch: CapsuleBatch, labels=None) -> None:
         b = T.asarray(batch.poses).shape[0]
         if labels.shape != (b,):
             raise ShapeError(f"labels must have shape ({b},), got {labels.shape}")
-        if labels.size and (labels.dtype.kind not in "iu" or not np.all(
-                (labels >= 0) & (labels < 2 ** 32))):
-            raise DomainError("labels must be integers in [0, 2**32)")
+        _check_labels(labels, 2 ** 32, "2**32")
     if str(path).endswith(".json"):
         _write_capsules_json(path, batch, labels)
         return

@@ -19,12 +19,12 @@ closed-form VJP, where a composition of generic ops would record many
 (and keep a 5-D (batch, n_in, n_out, d_cov, d_out) temporary for some).
 The nodes are the votes, once per call, then per iteration the E-step's
 Gaussian log-density and assignment, the D-step's used and ignored
-shares, and the M-step's net scores, denominator, weighted mean and
-weighted variance. The first assignment is a uniform constant, so a
-layer records 8 n_iters - 1 nodes (23 at n_iters = 3), and 20 when the
-input scores are untracked too, as the first D-step and denominator are
-then constants. The sums over inputs and over pose components run as
-batched matmuls (:func:`capsem.tensor._product`).
+shares, and the M-step's net scores, its mean and variance as one node,
+and a slice node for each. The first assignment is a uniform constant,
+so a layer records 8 n_iters - 1 nodes (23 at n_iters = 3), and 21 when
+the input scores are untracked too, as the first D-step is then
+constant. Most sums over inputs and over pose components run as batched
+matmuls (:func:`capsem.tensor._product`).
 In :func:`route`, the squared deviations (v - mu)^2 that an M-step fits
 its variances from feed the next E-step's log-density, which drops them
 once used. Only an untracked :func:`route` takes a workspace, which its
@@ -498,50 +498,6 @@ def d_step(in_scores, probs: Tensor) -> tuple[Tensor, Tensor]:
     return used, ignored
 
 
-def _weighted_mean(used: Tensor, votes: Tensor, denom: Tensor) -> Tensor:
-    """sum_i u_ij v_ij / denom_j, shape (batch, n_out, d_cov, d_out), as one
-    tape node; with G = g / denom its VJPs are du = sum_ch G v,
-    dv = u G and ddenom = -sum_ch G mu."""
-    u, v, dn = used.data, votes.data, denom.data[..., None, None]
-    out = T._product(u, "bij", v, "bijch", "bjch") / dn
-
-    def vjp(g):
-        g = g / dn
-        return (T._product(v, "bijch", g, "bjch", "bij"),
-                u[..., None, None] * g[:, None],
-                -np.einsum("bjch,bjch->bj", g, out))
-
-    return T.record(out, (used, votes, denom), vjp)
-
-
-def _weighted_variance(used: Tensor, votes: Tensor, mean: Tensor,
-                       denom: Tensor, floor: float, sq: np.ndarray) -> Tensor:
-    """sum_i u_ij (v_ij - mu_j)^2 / denom_j + floor as one tape node, from
-    ``sq`` = (v - mu)^2 as :func:`_squared_deviations` gives it.
-
-    With d = v - mu, G = g / denom and s the result less the floor, the
-    VJPs are du = sum_ch G d^2, dv = 2 u G d, dmu = -sum_i dv and
-    ddenom = -sum_ch G s. The backward recomputes d instead of keeping it.
-    """
-    u, v, mu = used.data, votes.data, mean.data
-    dn = denom.data[..., None, None]
-    spread = T._product(u, "bij", sq, "bijch", "bjch") / dn
-
-    def vjp(g):
-        g = g / dn
-        d = v - mu[:, None]
-        g_v = d * g[:, None]
-        # these two sums and _weighted_mean's bjch,bjch->bj stay einsum:
-        # as batched matmuls they measured slower (one BLAS thread, 2-core
-        # VM, route_bulk layer-0 shapes: 251 -> 319 us and 25 -> 40 us)
-        g_u = np.einsum("bijch,bijch->bij", g_v, d)
-        g_v *= 2.0 * u[..., None, None]
-        return (g_u, g_v, -g_v.sum(axis=1),
-                -np.einsum("bjch,bjch->bj", g, spread))
-
-    return T.record(spread + floor, (used, votes, mean, denom), vjp)
-
-
 def _net_scores(used: Tensor, ignored: Tensor, beta_use: Tensor,
                 beta_ign: Tensor) -> Tensor:
     """sum_i (u_ij beta_use - ig_ij beta_ign), shape (batch, n_out), as one
@@ -557,11 +513,49 @@ def _net_scores(used: Tensor, ignored: Tensor, beta_use: Tensor,
                     (used, ignored, beta_use, beta_ign), vjp)
 
 
-def _denominator(used: Tensor, eps: float) -> Tensor:
-    """sum_i u_ij + eps, shape (batch, n_out), as one tape node."""
-    u = used.data
-    return T.record(u.sum(axis=1) + np.asarray(eps, dtype=u.dtype), (used,),
-                    lambda g: (np.broadcast_to(g[:, None], u.shape).copy(),))
+def _moments(used: Tensor, votes: Tensor, eps: float, floor: float,
+             workspace: dict | None = None
+             ) -> tuple[Tensor, Tensor, np.ndarray]:
+    """The used-share-weighted mean and variance of the votes, and the
+    (v - mu)^2 the variance is fitted from, in ``workspace`` if given.
+
+    With D = sum_i u + eps, mu = sum_i u v / D and var = sum_i u
+    (v - mu)^2 / D + floor fill the halves of one array, recorded as one
+    tape node, and each is a slice node of it. With d = v - mu, G = g / D
+    and s = var - floor, the VJPs are du = sum_ch (Gmu + Gvar d) d -
+    sum_ch Gvar s and dv = u (Gmu + 2 Gvar d); Gmu carries the variance's
+    mean term, -2 eps Gvar mu / D, as sum_i u d = eps mu at this mean.
+    The backward forms d once, in the array it returns as dv.
+    """
+    u, v = used.data, votes.data
+    dn = (u.sum(axis=1) + np.asarray(eps, dtype=u.dtype))[..., None, None]
+    both = np.empty((2,) + dn.shape[:2] + v.shape[3:], np.result_type(u, v))
+    mean, var = both
+    np.divide(T._product(u, "bij", v, "bijch", "bjch"), dn, out=mean)
+    sq = _squared_deviations(v, mean, workspace)
+    np.divide(T._product(u, "bij", sq, "bijch", "bjch"), dn, out=var)
+    var += floor
+
+    def vjp(g):
+        g_mu, g_var = g = g / dn
+        g_mu -= (2.0 * eps) * g_var * mean / dn
+        d = np.subtract(v, mean[:, None])
+        # the einsums measured faster (one BLAS thread, 2-core VM, desk
+        # layer 0 and wide_route): 120 and 179 us, not 148 and 281 with a
+        # g_var d temporary; 7 and 5 us, not 17 and 19 as a _product
+        g_u = T._product(d, "bijch", g_mu, "bjch", "bij")
+        g_u += np.einsum("bijch,bjch,bijch->bij", d, g_var, d)
+        g_u -= np.einsum("bjch,bjch->bj", g_var, var - floor)[:, None]
+        d *= 2.0 * g_var[:, None]
+        d += g_mu[:, None]
+        d *= u[..., None, None]
+        return g_u, d
+
+    node = T.record(both, (used, votes), vjp)
+    return (T.record(mean, (node,),
+                     lambda g: (np.stack((g, np.zeros_like(g))),)),
+            T.record(var, (node,),
+                     lambda g: (np.stack((np.zeros_like(g), g)),)), sq)
 
 
 def m_step(votes: Tensor, used: Tensor, ignored: Tensor,
@@ -582,11 +576,8 @@ def _m_step(votes: Tensor, used: Tensor, ignored: Tensor,
     """:func:`m_step` and its (v - mu)^2, for the next E-step."""
     scores = _net_scores(used, ignored, T.as_tensor(params.beta_use),
                          T.as_tensor(params.beta_ign))
-    denom = _denominator(used, config.denom_eps)
-    poses = _weighted_mean(used, votes, denom)
-    sq = _squared_deviations(votes.data, poses.data, workspace)
-    variances = _weighted_variance(used, votes, poses, denom,
-                                   config.var_floor, sq)
+    poses, variances, sq = _moments(used, votes, config.denom_eps,
+                                    config.var_floor, workspace)
     return RoutingOutput(scores, poses, variances), sq
 
 

@@ -8,7 +8,7 @@ from capsem.classifier import (TrainRegime, _batch_gradients,
                                build_constellation_classifier, evaluate,
                                train_classifier)
 from capsem.data import ConstellationSpec, make_dataset, to_one_hot
-from capsem.errors import ConfigError
+from capsem.errors import ConfigError, DomainError
 from capsem.nn import mix_batch
 from capsem.routing import CapsuleBatch, RoutingParams
 
@@ -163,6 +163,41 @@ def test_evaluate_on_empty_set(small_data):
     caps = CapsuleBatch(np.zeros((0, 10)), np.zeros((0, 10, 4, 4)))
     loss, acc = evaluate(model, caps, np.zeros(0, dtype=int))
     assert np.isnan(loss) and np.isnan(acc)
+
+
+def _bad_labels(labels, n_classes, kind):
+    if kind == "all_negative":
+        return np.full(len(labels), -1)
+    if kind == "float":
+        return labels.astype(float)
+    labels = labels.copy()
+    labels[7] = n_classes
+    return labels
+
+
+@pytest.mark.parametrize("kind", ["all_negative", "n_classes", "float"])
+def test_labels_outside_the_classes_are_a_domain_error(small_data, kind):
+    # label -1 once indexed the last class, so training ran without
+    # error, and a label of n_classes or a float label was an IndexError
+    spec, (tc, tl), (vc, vl) = small_data
+    model = build_constellation_classifier(spec.d_cov, spec.d_in,
+                                           spec.n_classes, n_mid=8, seed=0)
+    before = {k: v.copy() for k, v in model.param_dict().items()}
+    regime = TrainRegime(epochs=1, seed=0)
+    match = r"labels must be integers in \[0, n_classes\)"
+    with pytest.raises(DomainError, match=match):
+        train_classifier(model, tc, _bad_labels(tl, spec.n_classes, kind),
+                         vc, vl, regime)
+    with pytest.raises(DomainError, match=match):
+        train_classifier(model, tc, tl, vc,
+                         _bad_labels(vl, spec.n_classes, kind), regime)
+    for k, v in model.param_dict().items():
+        np.testing.assert_array_equal(v, before[k], err_msg=k)
+    # evaluate checks the labels before it routes: these capsules have
+    # the wrong pose shape, which routing would refuse with a ShapeError
+    wrong = CapsuleBatch(np.zeros((len(vl), 3)), np.zeros((len(vl), 3, 1, 1)))
+    with pytest.raises(DomainError, match=match):
+        evaluate(model, wrong, _bad_labels(vl, spec.n_classes, kind))
 
 
 @pytest.fixture(scope="module")

@@ -1,3 +1,5 @@
+import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -382,14 +384,28 @@ def _composed_mean(used, values, denom):
                  T.reshape(denom, (b, j, 1, 1)))
 
 
-def _composed_variance(x):
+# the M-step cases' denom_eps: large enough that the variance gradient's
+# closed-form mean term, -2 eps Gvar mu / D, shows at the 1e-12 tolerance
+MOMENTS_EPS = 1e-3
+
+
+def _composed_moments(x):
     b, i, j, c, h = x["votes"].shape
-    diff = T.sub(x["votes"], T.reshape(x["mean"], (b, 1, j, c, h)))
-    return T.add(_composed_mean(x["used"], T.square(diff), x["denom"]), 0.01)
+    denom = T.add(T.reduce_sum(x["used"], axes=1), MOMENTS_EPS)
+    mean = _composed_mean(x["used"], x["votes"], denom)
+    diff = T.sub(x["votes"], T.reshape(mean, (b, 1, j, c, h)))
+    return mean, T.add(_composed_mean(x["used"], T.square(diff), denom),
+                       0.01)
+
+
+def _moments_case(half):
+    return (lambda x: R._moments(x["used"], x["votes"], MOMENTS_EPS,
+                                 0.01)[half],
+            lambda x: _composed_moments(x)[half], ("used", "votes"))
 
 
 # the generic-op chains that the E-step assignment, the D-step split and
-# the M-step net scores and denominator replace
+# the M-step net scores replace
 
 
 def _composed_assignment(x):
@@ -425,15 +441,11 @@ FUSED_OPS = {
         lambda x: R._log_density(
             x["votes"], R.RoutingOutput(None, x["mean"], x["var"])),
         _composed_log_density, ("votes", "mean", "var")),
-    "weighted_mean": (
-        lambda x: R._weighted_mean(x["used"], x["votes"], x["denom"]),
-        lambda x: _composed_mean(x["used"], x["votes"], x["denom"]),
-        ("used", "votes", "denom")),
-    "weighted_variance": (
-        lambda x: R._weighted_variance(
-            x["used"], x["votes"], x["mean"], x["denom"], 0.01,
-            R._squared_deviations(x["votes"].data, x["mean"].data)),
-        _composed_variance, ("used", "votes", "mean", "denom")),
+    # the M-step's mean and variance with both on the loss path, then
+    # each alone, so that the other's half of the node's gradient is zero
+    "moments": _moments_case(slice(2)),
+    "weighted_mean": _moments_case(0),
+    "weighted_variance": _moments_case(1),
     "assignment_probs": (
         lambda x: R._assignment_probs(x["log_dens"], x["out_scores"]),
         _composed_assignment, ("log_dens", "out_scores")),
@@ -449,25 +461,20 @@ FUSED_OPS = {
     "net_scores_variable_input": _net_scores_case("beta_use_j", "beta_ign_j"),
     "net_scores_variable_output": _net_scores_case("beta_use", "beta_ign"),
     "net_scores_tied": _net_scores_case("beta_use_ij", "beta_use_ij"),
-    "denominator": (
-        lambda x: R._denominator(x["used"], 0.01),
-        lambda x: T.add(T.reduce_sum(x["used"], axes=1), 0.01), ("used",)),
 }
 
 
 def _fused_operands(seed, shape=(2, 3, 2, 2, 3), dtype=np.float64,
                     saturated=False):
     """Random operands off the routing fixed point: the means are not the
-    used-weighted means of the votes, so sum_i u (v - mu) != 0, and the
-    denominators are not sum_i u. ``shape`` is (batch, n_in, n_out,
+    used-weighted means of the votes. ``shape`` is (batch, n_in, n_out,
     d_cov, d_out). ``saturated`` puts every score at +-LOGIT_MAX."""
     rng = np.random.default_rng(seed)
     b, i, j, c, h = shape
     x = dict(votes=rng.normal(size=(b, i, j, c, h)),
              mean=rng.normal(size=(b, j, c, h)),
              var=rng.uniform(0.3, 2.0, size=(b, j, c, h)),
-             used=rng.uniform(0.05, 1.0, size=(b, i, j)),
-             denom=rng.uniform(0.5, 2.0, size=(b, j)))
+             used=rng.uniform(0.05, 1.0, size=(b, i, j)))
     x.update(log_dens=rng.normal(0.0, 3.0, size=(b, i, j)),
              out_scores=rng.uniform(-4.0, 4.0, size=(b, j)),
              in_scores=rng.uniform(-4.0, 4.0, size=(b, i)),
@@ -482,16 +489,24 @@ def _fused_operands(seed, shape=(2, 3, 2, 2, 3), dtype=np.float64,
     return {k: v.astype(dtype) for k, v in x.items()}
 
 
+def _weighted_sum(outs, seed):
+    """The sum of each output of an op, one tensor or a tuple of them,
+    weighted by its own random weights."""
+    rng = np.random.default_rng(seed)
+    terms = [T.reduce_sum(T.mul(out, rng.normal(size=out.shape).astype(
+        out.dtype))) for out in (outs if isinstance(outs, tuple) else (outs,))]
+    return functools.reduce(T.add, terms)
+
+
 def _fused_results(fn, x, names):
-    """fn's output on tape leaves of x and the gradients of a random
-    weighted sum of it with respect to ``names``."""
+    """fn's outputs on tape leaves of x, as a list, and the gradients of
+    their random weighted sum with respect to ``names``."""
     tape = T.Tape()
     leaves = {k: tape.leaf(v) for k, v in x.items()}
-    out = fn(leaves)
-    weights = np.random.default_rng(33).normal(size=out.shape).astype(
-        out.dtype)
-    grads = T.backward(tape, T.reduce_sum(T.mul(out, weights)))
-    return out.data, [grads[leaves[k].node] for k in names]
+    outs = fn(leaves)
+    grads = T.backward(tape, _weighted_sum(outs, 33))
+    outs = outs if isinstance(outs, tuple) else (outs,)
+    return [out.data for out in outs], [grads[leaves[k].node] for k in names]
 
 
 @pytest.mark.parametrize("op,wrt,saturated", [
@@ -504,10 +519,9 @@ def test_fused_op_vjp_matches_central_differences(op, wrt, saturated):
     fused = FUSED_OPS[op][0]
     x = _fused_operands(30, saturated=saturated)
     consts = {k: T.tensor(v) for k, v in x.items()}
-    weights = np.random.default_rng(31).normal(size=fused(consts).shape)
 
     def f(t):
-        return T.reduce_sum(T.mul(fused(consts | {wrt: t}), weights))
+        return _weighted_sum(fused(consts | {wrt: t}), 31)
 
     assert T.grad_check(f, x[wrt]) <= 1e-6
 
@@ -527,9 +541,10 @@ FUSED_SHAPES = {"": (2, 3, 2, 2, 3), "-empty_batch": (0, 3, 2, 2, 3),
 def test_fused_op_matches_composition(op, shape, saturated):
     fused, composed, names = FUSED_OPS[op]
     x = _fused_operands(32, shape, saturated=saturated)
-    out_f, grads_f = _fused_results(fused, x, names)
-    out_c, grads_c = _fused_results(composed, x, names)
-    np.testing.assert_allclose(out_f, out_c, rtol=0, atol=1e-12)
+    outs_f, grads_f = _fused_results(fused, x, names)
+    outs_c, grads_c = _fused_results(composed, x, names)
+    for out_f, out_c in zip(outs_f, outs_c, strict=True):
+        np.testing.assert_allclose(out_f, out_c, rtol=0, atol=1e-12)
     for name, gf, gc in zip(names, grads_f, grads_c):
         np.testing.assert_allclose(gf, gc, rtol=0, atol=1e-12, err_msg=name)
 
@@ -537,26 +552,27 @@ def test_fused_op_matches_composition(op, shape, saturated):
 @pytest.mark.parametrize("op", FUSED_OPS)
 def test_fused_op_keeps_float32(op):
     fused, _, names = FUSED_OPS[op]
-    out, grads = _fused_results(fused, _fused_operands(34, dtype=np.float32),
-                                names)
-    assert out.dtype == np.float32
+    outs, grads = _fused_results(fused, _fused_operands(34, dtype=np.float32),
+                                 names)
+    for out in outs:
+        assert out.dtype == np.float32
     for name, g in zip(names, grads):
         assert g.dtype == np.float32, name
 
 
 def test_desk_route_tape_length_is_pinned():
     # one node for the votes, then per iteration: the log-density and the
-    # assignment (E), used and ignored (D), net scores, denominator, mean
-    # and variance (M), 8 nodes; on the first iteration, whose uniform
-    # assignment is a constant, untracked input scores leave used,
-    # ignored and the denominator unrecorded: 1 + 3 + 2 * 8 = 20, and
+    # assignment (E), used and ignored (D), and net scores, the moments
+    # node and its mean and variance slices (M), 8 nodes; on the first
+    # iteration, whose uniform assignment is a constant, untracked input
+    # scores leave used and ignored unrecorded: 1 + 4 + 2 * 8 = 21, and
     # 1 + 6 + 2 * 8 = 23 with tracked inputs. The generic-op chains these
     # nodes replace recorded 45 and 55
     from capsem.classifier import build_constellation_classifier
     model = build_constellation_classifier(d_cov=4, d_in=4, n_classes=5)
     (p0, cfg0), (p1, cfg1) = model.layers
     rng = np.random.default_rng(34)
-    for params, cfg, n, tracked_caps, nodes in ((p0, cfg0, 10, False, 20),
+    for params, cfg, n, tracked_caps, nodes in ((p0, cfg0, 10, False, 21),
                                                 (p1, cfg1, 32, True, 23)):
         tape = T.Tape()
         pt = params.tracked(tape)
@@ -1033,6 +1049,36 @@ def test_zero_var_floor_with_zero_variance_is_a_domain_error():
     caps = CapsuleBatch(np.zeros((2, 3)), np.zeros((2, 3, 2, 2)))
     with pytest.raises(DomainError, match="strictly positive"):
         route(init_params(cfg, seed=0), caps, cfg)
+
+
+@pytest.mark.parametrize("mode", R.MODES)
+@settings(max_examples=40)
+@given(seed=st.integers(0, 2**32 - 1),
+       # log10 of how far apart the votes are
+       spread_exponent=st.floats(-150, -8),
+       offset=st.sampled_from([0.0, 1.0]))
+@example(seed=0, spread_exponent=-150.0, offset=0.0)
+def test_near_zero_variances_without_a_floor_are_finite_or_a_domain_error(
+        mode, seed, spread_exponent, offset):
+    # votes offset + spread * (P W + B), so the output variances are near
+    # spread^2, or exactly zero once offset + spread rounds to offset;
+    # with no floor the loop must stay finite or refuse, never give NaN
+    rng = np.random.default_rng(seed)
+    cfg, p, caps, out_bias = random_instance(rng, mode=mode, small=True)
+    cfg = dataclasses.replace(cfg, var_floor=0.0)
+    spread = 10.0 ** spread_exponent
+    p = RoutingParams.from_items(
+        (name, spread * value if name == "weights"
+         else offset + spread * value if name == "biases" else value)
+        for name, value in p.items())
+    if out_bias is not None:
+        out_bias = offset + spread * out_bias
+    try:
+        out = route(p, caps, cfg, out_bias=out_bias)
+    except DomainError:
+        return
+    for value in (out.scores, out.poses, out.variances):
+        assert np.all(np.isfinite(value.data))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
