@@ -191,17 +191,9 @@ def _dump_trace(model, caps, path):
     for params, config in model.layers:
         out, trace = route(params, current, config, want_trace=True,
                            workspace=workspace)
-        doc["layers"].append({
-            "iterations": [
-                {
-                    "probs": step.probs.tolist(),
-                    "used": step.used.tolist(),
-                    "ignored": step.ignored.tolist(),
-                    "scores": step.scores.tolist(),
-                }
-                for step in trace.iterations
-            ],
-        })
+        doc["layers"].append({"iterations": [
+            {name: value.tolist() for name, value in vars(step).items()}
+            for step in trace.iterations]})
         current = CapsuleBatch(out.scores.data, out.poses.data)
     with open(path, "w") as f:
         json.dump(doc, f)

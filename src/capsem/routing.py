@@ -26,10 +26,10 @@ the input scores are untracked too, as the first D-step is then
 constant. Most sums over inputs and over pose components run as batched
 matmuls (:func:`capsem.tensor._product`).
 In :func:`route`, the squared deviations (v - mu)^2 that an M-step fits
-its variances from feed the next E-step's log-density, which drops them
-once used. Only an untracked :func:`route` takes a workspace, which its
-caller keeps across calls: it holds the votes and that one (v - mu)^2
-buffer.
+its variances from feed the next E-step's log-density; no VJP reads
+them, so every iteration reuses one buffer. That buffer and the votes
+live in a workspace: the caller's, which it keeps across untracked calls
+only, or one that the call makes for itself.
 
 Three parameter-sharing modes exist:
 
@@ -337,19 +337,23 @@ def _scratch(workspace: dict, name: str, shape, dtype) -> np.ndarray:
 
 
 def compute_votes(params: RoutingParams, caps: CapsuleBatch,
-                  config: RoutingConfig, out_bias=None) -> Tensor:
+                  config: RoutingConfig, out_bias=None,
+                  workspace: dict | None = None) -> Tensor:
     """Per-pair predictions V of shape (batch, n_in, n_out, d_cov, d_out).
 
     Poses times weights over the input-property axis, plus the bias, as
     one tape node; weights/biases broadcast over whichever of the pair
     indexes the sharing mode drops. Variable-output mode has no learned
-    bias and requires ``out_bias`` of shape (n_out, d_cov, d_out).
+    bias and requires ``out_bias`` of shape (n_out, d_cov, d_out). The
+    votes go to ``workspace``'s buffer, or one made for the call; with a
+    tracked input a workspace is a ValueError, as the VJPs read them.
     """
-    return _compute_votes(params, caps, config, out_bias, None)
-
-
-def _compute_votes(params, caps, config, out_bias, workspace) -> Tensor:
-    """:func:`compute_votes`, in ``workspace``'s votes buffer if given."""
+    if workspace is None:
+        workspace = {}
+    elif any(getattr(x, "tape", None) is not None for x in (
+            *dict(params.items()).values(), caps.scores, caps.poses,
+            out_bias)):
+        raise ValueError("a routing workspace is for untracked calls only")
     poses = T.as_tensor(caps.poses)
     _, n, c, d = poses.shape
     if (c, d) != (config.d_cov, config.d_in):
@@ -375,13 +379,11 @@ def _compute_votes(params, caps, config, out_bias, workspace) -> Tensor:
             )
         wd = wd[None]  # an output axis of length 1
     mm_dtype = np.result_type(pd, wd)
-    out = None if workspace is None else _scratch(
-        workspace, "votes", (len(pd), n) + bias.shape[-3:],
-        np.result_type(mm_dtype, bias.data))
+    out = _scratch(workspace, "votes", (len(pd), n) + bias.shape[-3:],
+                   np.result_type(mm_dtype, bias.data))
     # the product goes there only in its own shape and dtype, so the
     # buffer never decides which loop numpy computes it with
-    fits = (out is not None and out.dtype == mm_dtype
-            and config.mode != "variable_output")
+    fits = out.dtype == mm_dtype and config.mode != "variable_output"
     base = np.matmul(pd[:, :, None], wd, out=out if fits else None)
     w_spec = "ijdh" if config.mode == "fixed" else "jdh"
     base_shape, bias_shape, w_shape = base.shape, bias.shape, weights.shape
@@ -397,10 +399,11 @@ def _compute_votes(params, caps, config, out_bias, workspace) -> Tensor:
 
 
 def _squared_deviations(v: np.ndarray, mu: np.ndarray,
-                        workspace: dict | None = None) -> np.ndarray:
-    """(v - mu)^2 of 5-D votes about 4-D output means, in one buffer."""
-    sq = np.subtract(v, mu[:, None], out=None if workspace is None else
-                     _scratch(workspace, "sq", v.shape, np.result_type(v, mu)))
+                        workspace: dict) -> np.ndarray:
+    """(v - mu)^2 of 5-D votes about 4-D output means, in ``workspace``'s
+    (v - mu)^2 buffer."""
+    sq = np.subtract(v, mu[:, None], out=_scratch(
+        workspace, "sq", v.shape, np.result_type(v, mu)))
     sq *= sq
     return sq
 
@@ -419,7 +422,7 @@ def _log_density(votes: Tensor, state: RoutingOutput,
     """
     v, mu, var = votes.data, state.poses.data, state.variances.data
     if sq is None:
-        sq = _squared_deviations(v, mu)
+        sq = _squared_deviations(v, mu, {})
     log_norm = np.log(_TWO_PI * var).sum(axis=(2, 3))
     quad = T._product(sq, "bijch", 0.5 / var, "bjch", "bij")
     out = -0.5 * log_norm[:, None] - quad
@@ -457,29 +460,27 @@ def _assignment_probs(log_dens: Tensor, out_scores: Tensor) -> Tensor:
     return T.record(p, (log_dens, out_scores), vjp)
 
 
-def e_step(votes: Tensor, state: RoutingOutput | None,
-           first_iter: bool) -> Tensor:
+def e_step(votes: Tensor, state: RoutingOutput | None, first_iter: bool,
+           sq: np.ndarray | None = None) -> Tensor:
     """Routing probabilities (batch, n_in, n_out); uniform on iteration one.
 
     After the first iteration each row is a softmax over outputs of
     log logistic(score_j) + log density of input i's votes under output
     j's Gaussian, the log-space form of the activation-weighted density
-    ratio.
+    ratio, scored with ``sq`` if given (see :func:`_log_density`). A
+    variance whose 0.5 / var overflows its dtype is a DomainError.
     """
-    return _e_step(votes, state, first_iter, None)
-
-
-def _e_step(votes: Tensor, state: RoutingOutput | None, first_iter: bool,
-            sq: np.ndarray | None) -> Tensor:
-    """:func:`e_step`, scoring with ``sq`` (see :func:`_log_density`)."""
     b, i, j = votes.shape[:3]
     if first_iter:
-        dt = votes.dtype
-        return T.tensor(np.full((b, i, j), 1.0 / j, dtype=dt))
+        return T.tensor(np.full((b, i, j), 1.0 / j, dtype=votes.dtype))
     if state is None:
         raise ValueError("state is required after the first iteration")
-    if np.any(state.variances.data <= 0):
-        raise DomainError("output variances must be strictly positive")
+    var = state.variances.data
+    bound = 0.5 / np.finfo(var.dtype).max  # 0.5 / var overflows up to it
+    if np.any(var <= bound):
+        raise DomainError(f"output variances must be strictly positive, and "
+                          f"above {bound:.3g} in {var.dtype} so that 0.5 / "
+                          f"var is finite; raise var_floor")
     return _assignment_probs(_log_density(votes, state, sq), state.scores)
 
 
@@ -514,10 +515,9 @@ def _net_scores(used: Tensor, ignored: Tensor, beta_use: Tensor,
 
 
 def _moments(used: Tensor, votes: Tensor, eps: float, floor: float,
-             workspace: dict | None = None
-             ) -> tuple[Tensor, Tensor, np.ndarray]:
+             workspace: dict) -> tuple[Tensor, Tensor, np.ndarray]:
     """The used-share-weighted mean and variance of the votes, and the
-    (v - mu)^2 the variance is fitted from, in ``workspace`` if given.
+    (v - mu)^2 the variance is fitted from, in ``workspace``.
 
     With D = sum_i u + eps, mu = sum_i u v / D and var = sum_i u
     (v - mu)^2 / D + floor fill the halves of one array, recorded as one
@@ -566,14 +566,14 @@ def m_step(votes: Tensor, used: Tensor, ignored: Tensor,
     ignored share with beta_ign, summed over inputs. Means and variances
     are the used-share-weighted moments of the votes.
     """
-    return _m_step(votes, used, ignored, params, config)[0]
+    return _m_step(votes, used, ignored, params, config, {})[0]
 
 
 def _m_step(votes: Tensor, used: Tensor, ignored: Tensor,
             params: RoutingParams, config: RoutingConfig,
-            workspace: dict | None = None
-            ) -> tuple[RoutingOutput, np.ndarray]:
-    """:func:`m_step` and its (v - mu)^2, for the next E-step."""
+            workspace: dict) -> tuple[RoutingOutput, np.ndarray]:
+    """:func:`m_step` and its (v - mu)^2 in ``workspace``, for the next
+    E-step."""
     scores = _net_scores(used, ignored, T.as_tensor(params.beta_use),
                          T.as_tensor(params.beta_ign))
     poses, variances, sq = _moments(used, votes, config.denom_eps,
@@ -591,22 +591,18 @@ def route(params: RoutingParams, caps: CapsuleBatch, config: RoutingConfig,
     of detached per-iteration arrays when ``want_trace`` is set. Raises
     DomainError when the final outputs are not finite.
 
-    ``workspace``, a dict its caller creates empty and keeps across
-    untracked calls only, holds the votes and one (v - mu)^2 buffer;
-    with a tracked input it is a ValueError, as the VJPs read the votes.
+    The votes, and one (v - mu)^2 buffer that every iteration reuses,
+    live in ``workspace``, a dict its caller creates empty and keeps
+    across untracked calls only (see :func:`compute_votes`), or else in
+    one made for this call.
     """
-    if workspace is not None and any(
-            getattr(x, "tape", None) is not None for x in (
-                *dict(params.items()).values(), caps.scores, caps.poses,
-                out_bias)):
-        raise ValueError("a routing workspace is for untracked calls only")
-    votes = _compute_votes(params, caps, config, out_bias, workspace)
+    votes = compute_votes(params, caps, config, out_bias, workspace)
+    workspace = {} if workspace is None else workspace
     in_scores = T.as_tensor(caps.scores)
     state, sq = None, None
     steps: list[IterationTrace] = []
     for it in range(config.n_iters):
-        probs = _e_step(votes, state, it == 0, sq)
-        sq = None  # free it before the M-step allocates the next
+        probs = e_step(votes, state, it == 0, sq)
         used, ignored = d_step(in_scores, probs)
         state, sq = _m_step(votes, used, ignored, params, config, workspace)
         if want_trace:

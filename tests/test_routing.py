@@ -233,6 +233,27 @@ def test_e_step_rejects_nonpositive_variance():
         e_step(votes, state, first_iter=False)
 
 
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_e_step_refuses_variances_it_cannot_invert(dtype):
+    # 0.5 / var overflows the variances' own dtype at its bound and
+    # below: 1e-40 is refused in float32, yet inverts in float64
+    votes = T.tensor(np.zeros((1, 3, 2, 1, 1), dtype))
+    bound = 0.5 / np.finfo(dtype).max
+
+    def probs_at(var):
+        variances = np.full((1, 2, 1, 1), var, dtype)
+        return e_step(votes, R.RoutingOutput(
+            T.tensor(np.zeros((1, 2), dtype)),
+            T.tensor(np.zeros((1, 2, 1, 1), dtype)),
+            T.tensor(variances)), first_iter=False).data
+
+    for var in (bound, bound / 2, 1e-40 if dtype == "float32" else 1e-310):
+        with pytest.raises(DomainError, match="var_floor"):
+            probs_at(var)
+    for var in (np.nextafter(bound, np.inf, dtype=dtype), 1e-38):
+        np.testing.assert_allclose(probs_at(var), 0.5, rtol=1e-5)
+
+
 def test_e_step_matches_direct_density_formula():
     rng = np.random.default_rng(3)
     for _ in range(20):
@@ -400,7 +421,7 @@ def _composed_moments(x):
 
 def _moments_case(half):
     return (lambda x: R._moments(x["used"], x["votes"], MOMENTS_EPS,
-                                 0.01)[half],
+                                 0.01, {})[half],
             lambda x: _composed_moments(x)[half], ("used", "votes"))
 
 
@@ -1051,11 +1072,23 @@ def test_zero_var_floor_with_zero_variance_is_a_domain_error():
         route(init_params(cfg, seed=0), caps, cfg)
 
 
+def test_votes_too_close_to_invert_their_variance_are_a_domain_error():
+    # votes about 1e-156 apart give variances near 1e-312, below the
+    # float64 range of 0.5 / var; with no floor the E-step must refuse
+    # them and name the floor, not overflow
+    cfg = small_fixed_config(var_floor=0.0)
+    rng = np.random.default_rng(5)
+    caps = CapsuleBatch(np.zeros((2, 3)),
+                        1e-156 * rng.normal(size=(2, 3, 2, 2)))
+    with pytest.raises(DomainError, match="var_floor"):
+        route(init_params(cfg, seed=0), caps, cfg)
+
+
 @pytest.mark.parametrize("mode", R.MODES)
 @settings(max_examples=40)
 @given(seed=st.integers(0, 2**32 - 1),
        # log10 of how far apart the votes are
-       spread_exponent=st.floats(-150, -8),
+       spread_exponent=st.floats(-175, -8),
        offset=st.sampled_from([0.0, 1.0]))
 @example(seed=0, spread_exponent=-150.0, offset=0.0)
 def test_near_zero_variances_without_a_floor_are_finite_or_a_domain_error(
@@ -1287,6 +1320,23 @@ def test_nothing_returned_aliases_the_workspace(mode):
                 assert not np.shares_memory(value, buf), name
 
 
+def test_a_tracked_route_makes_one_squared_deviations_buffer(monkeypatch):
+    # no VJP reads (v - mu)^2, so each M-step of a tracked route writes
+    # the same buffer, and the next call makes its own
+    cfg, p, caps, _ = random_instance(np.random.default_rng(8), n_iters=3)
+    real, seen = R._squared_deviations, []
+    monkeypatch.setattr(R, "_squared_deviations",
+                        lambda *args: seen.append(real(*args)) or seen[-1])
+    tape = T.Tape()
+    for _ in range(2):
+        route(p.tracked(tape), caps.tracked(tape), cfg)
+    first, second = seen[:3], seen[3:]
+    assert len(first) == len(second) == 3
+    assert all(np.shares_memory(sq, first[0]) for sq in first)
+    assert all(np.shares_memory(sq, second[0]) for sq in second)
+    assert not np.shares_memory(first[0], second[0])
+
+
 @pytest.mark.parametrize("tracked", ["weights", "beta_ign", "scores", "poses",
                                      "out_bias"])
 def test_workspace_refuses_tracked_inputs(tracked):
@@ -1302,7 +1352,8 @@ def test_workspace_refuses_tracked_inputs(tracked):
     out_bias = fields.pop("out_bias")
     params = RoutingParams.from_items(fields.items())
     workspace = {}
-    with pytest.raises(ValueError, match="untracked"):
-        route(params, caps, cfg, out_bias=out_bias, workspace=workspace)
-    assert workspace == {}
+    for entry in (route, compute_votes):
+        with pytest.raises(ValueError, match="untracked"):
+            entry(params, caps, cfg, out_bias, workspace=workspace)
+        assert workspace == {}
     route(params, caps, cfg, out_bias=out_bias)  # fine without one
