@@ -23,7 +23,11 @@ shares, and the M-step's net scores, its mean and variance as one node,
 and a slice node for each. The first assignment is a uniform constant,
 so a layer records 8 n_iters - 1 nodes (23 at n_iters = 3), and 21 when
 the input scores are untracked too, as the first D-step is then
-constant. Most sums over inputs and over pose components run as batched
+constant. The log-density after a tracked M-step is one node over that
+M-step's votes and used shares, whose VJP forms v - mu once for both, so
+the votes take 3 gradients per layer at n_iters = 3, not 5. The votes,
+D-step, net-score and M-step VJPs form no gradient for an untracked
+source. Most sums over inputs and over pose components run as batched
 matmuls (:func:`capsem.tensor._product`).
 In :func:`route`, the squared deviations (v - mu)^2 that an M-step fits
 its variances from feed the next E-step's log-density; no VJP reads
@@ -47,7 +51,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Literal, Union
 
 import numpy as np
@@ -237,11 +241,13 @@ class CapsuleBatch:
 
 @dataclass
 class RoutingOutput:
-    """Output scores, poses, and variances; tensors during a tracked pass."""
+    """Output scores, poses, and variances; tensors during a tracked pass.
+    Only a tracked :func:`m_step` sets ``fit`` (see :func:`_moments`)."""
 
     scores: Tensor    # (batch, n_out)
     poses: Tensor     # (batch, n_out, d_cov, d_out)
     variances: Tensor  # same shape as poses, >= var_floor
+    fit: tuple | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass
@@ -387,10 +393,13 @@ def compute_votes(params: RoutingParams, caps: CapsuleBatch,
     base = np.matmul(pd[:, :, None], wd, out=out if fits else None)
     w_spec = "ijdh" if config.mode == "fixed" else "jdh"
     base_shape, bias_shape, w_shape = base.shape, bias.shape, weights.shape
+    # a VJP holds no Tensor, which would tie the tape into a cycle
+    const_poses = poses.node is None
 
     def vjp(g):
         g_base = T._unbroadcast(g, base_shape)
-        return (T._product(g_base, "bijch", wd, w_spec, "bicd"),
+        return (None if const_poses
+                else T._product(g_base, "bijch", wd, w_spec, "bicd"),
                 T._product(g_base, "bijch", pd, "bicd", w_spec)
                 .reshape(w_shape), T._unbroadcast(g, bias_shape))
 
@@ -414,9 +423,12 @@ def _log_density(votes: Tensor, state: RoutingOutput,
     summed over the d_cov x d_out components: shape (batch, n_in, n_out).
     ``sq``, if given, is (v - mu)^2 as :func:`_squared_deviations` gives.
 
-    One tape node over the votes, means and variances. With d = v - mu,
-    the VJPs of an output gradient g are dv = -g d / var,
-    dmu = -sum_i dv and dvar = (sum_i g d^2 / var - sum_i g) / (2 var).
+    One tape node. With d = v - mu, the VJPs of an output gradient g are
+    dv = -g d / var, dmu = -sum_i dv and dvar = (sum_i g d^2 / var -
+    sum_i g) / (2 var). If ``state`` is a tracked M-step's fit of these
+    votes, the node is over that M-step's inputs, the votes and then the
+    used shares, and its VJP runs dmu and dvar through the M-step's VJP
+    with the same d; else it is over the votes, means and variances.
     The backward recomputes d instead of keeping it, and the quadratic
     stays in the (v - mu)^2 form, which does not cancel.
     """
@@ -426,19 +438,27 @@ def _log_density(votes: Tensor, state: RoutingOutput,
     log_norm = np.log(_TWO_PI * var).sum(axis=(2, 3))
     quad = T._product(sq, "bijch", 0.5 / var, "bjch", "bij")
     out = -0.5 * log_norm[:, None] - quad
+    fit = state.fit  # Tensors compare by identity
+    if fit is not None and fit[:3] == (state.poses, state.variances, votes):
+        srcs, backprop = (votes, fit[3]), fit[4]
+    else:
+        srcs, backprop = (votes, state.poses, state.variances), None
 
     def vjp(g):
         d = v - mu[:, None]
         g_d = d / var[:, None]
         g_d *= g[..., None, None]
-        d *= g_d
-        g_var = d.sum(axis=1)
-        g_var -= g.sum(axis=1)[..., None, None]
-        g_var *= 0.5 / var
-        np.negative(g_d, out=g_d)
-        return g_d, -g_d.sum(axis=1), g_var
+        g_mv = np.stack((g_d.sum(axis=1),
+                         np.einsum("bijch,bijch->bjch", g_d, d)))
+        g_mv[1] -= g.sum(axis=1)[..., None, None]
+        g_mv[1] *= 0.5 / var
+        if backprop is None:
+            return np.negative(g_d, out=g_d), *g_mv
+        g_u, g_v = backprop(d, g_mv)
+        g_v -= g_d
+        return g_v, g_u
 
-    return T.record(out, (votes, state.poses, state.variances), vjp)
+    return T.record(out, srcs, vjp)
 
 
 def _assignment_probs(log_dens: Tensor, out_scores: Tensor) -> Tensor:
@@ -492,10 +512,11 @@ def d_step(in_scores, probs: Tensor) -> tuple[Tensor, Tensor]:
     probs = T.as_tensor(probs, like=scores)
     out = expit(scores.data)
     gate, p, slope = out[..., None], probs.data, out * (1.0 - out)
-    used = T.record(gate * p, (scores, probs),
-                    lambda g: ((g * p).sum(axis=2) * slope, g * gate))
-    ignored = T.record(gate - used.data, (scores, used),
-                       lambda g: (g.sum(axis=2) * slope, -g))
+    const_scores = scores.node is None
+    used = T.record(gate * p, (scores, probs), lambda g: (
+        None if const_scores else (g * p).sum(axis=2) * slope, g * gate))
+    ignored = T.record(gate - used.data, (scores, used), lambda g: (
+        None if const_scores else g.sum(axis=2) * slope, -g))
     return used, ignored
 
 
@@ -504,10 +525,12 @@ def _net_scores(used: Tensor, ignored: Tensor, beta_use: Tensor,
     """sum_i (u_ij beta_use - ig_ij beta_ign), shape (batch, n_out), as one
     tape node; each beta's gradient is summed back to its mode's layout."""
     u, ig, bu, bi = used.data, ignored.data, beta_use.data, beta_ign.data
+    const_u, const_ig = used.node is None, ignored.node is None
 
     def vjp(g):
         g = np.broadcast_to(g[:, None], u.shape)
-        return (g * bu, -g * bi, T._unbroadcast(g * u, bu.shape),
+        return (None if const_u else g * bu, None if const_ig else -g * bi,
+                T._unbroadcast(g * u, bu.shape),
                 T._unbroadcast(-g * ig, bi.shape))
 
     return T.record((u * bu - ig * bi).sum(axis=1),
@@ -515,9 +538,10 @@ def _net_scores(used: Tensor, ignored: Tensor, beta_use: Tensor,
 
 
 def _moments(used: Tensor, votes: Tensor, eps: float, floor: float,
-             workspace: dict) -> tuple[Tensor, Tensor, np.ndarray]:
-    """The used-share-weighted mean and variance of the votes, and the
-    (v - mu)^2 the variance is fitted from, in ``workspace``.
+             workspace: dict) -> tuple:
+    """The used-share-weighted mean and variance of the votes, the
+    (v - mu)^2 the variance is fitted from, in ``workspace``, and their
+    ``fit`` (mean, variance, votes, used, VJP body), None if untracked.
 
     With D = sum_i u + eps, mu = sum_i u v / D and var = sum_i u
     (v - mu)^2 / D + floor fill the halves of one array, recorded as one
@@ -525,7 +549,7 @@ def _moments(used: Tensor, votes: Tensor, eps: float, floor: float,
     and s = var - floor, the VJPs are du = sum_ch (Gmu + Gvar d) d -
     sum_ch Gvar s and dv = u (Gmu + 2 Gvar d); Gmu carries the variance's
     mean term, -2 eps Gvar mu / D, as sum_i u d = eps mu at this mean.
-    The backward forms d once, in the array it returns as dv.
+    The VJP's body, shared with the next log-density, returns dv in d.
     """
     u, v = used.data, votes.data
     dn = (u.sum(axis=1) + np.asarray(eps, dtype=u.dtype))[..., None, None]
@@ -535,27 +559,33 @@ def _moments(used: Tensor, votes: Tensor, eps: float, floor: float,
     sq = _squared_deviations(v, mean, workspace)
     np.divide(T._product(u, "bij", sq, "bijch", "bjch"), dn, out=var)
     var += floor
+    const_u = used.node is None
 
-    def vjp(g):
-        g_mu, g_var = g = g / dn
+    def backprop(d, g):  # overwrites both
+        g_mu, g_var = np.divide(g, dn, out=g)
         g_mu -= (2.0 * eps) * g_var * mean / dn
-        d = np.subtract(v, mean[:, None])
-        # the einsums measured faster (one BLAS thread, 2-core VM, desk
-        # layer 0 and wide_route): 120 and 179 us, not 148 and 281 with a
-        # g_var d temporary; 7 and 5 us, not 17 and 19 as a _product
-        g_u = T._product(d, "bijch", g_mu, "bjch", "bij")
-        g_u += np.einsum("bijch,bjch,bijch->bij", d, g_var, d)
-        g_u -= np.einsum("bjch,bjch->bj", g_var, var - floor)[:, None]
-        d *= 2.0 * g_var[:, None]
+        g_u = None
+        if not const_u:
+            # the einsums measured faster (one BLAS thread, 2-core VM, desk
+            # layer 0 and wide_route): 120 and 179 us, not 148 and 281 with
+            # a g_var d temporary; 7 and 5 us, not 17 and 19 as a _product
+            g_u = T._product(d, "bijch", g_mu, "bjch", "bij")
+            g_u += np.einsum("bijch,bjch,bijch->bij", d, g_var, d)
+            g_u -= np.einsum("bjch,bjch->bj", g_var, var - floor)[:, None]
+        d *= np.multiply(g_var, 2.0, out=g_var)[:, None]
         d += g_mu[:, None]
         d *= u[..., None, None]
         return g_u, d
 
-    node = T.record(both, (used, votes), vjp)
-    return (T.record(mean, (node,),
-                     lambda g: (np.stack((g, np.zeros_like(g))),)),
-            T.record(var, (node,),
-                     lambda g: (np.stack((np.zeros_like(g), g)),)), sq)
+    node = T.record(both, (used, votes),
+                    lambda g: backprop(v - mean[:, None], g.copy()))
+    mean_t = T.record(mean, (node,),
+                      lambda g: (np.stack((g, np.zeros_like(g))),))
+    var_t = T.record(var, (node,),
+                     lambda g: (np.stack((np.zeros_like(g), g)),))
+    fit = None if node.tape is None else (mean_t, var_t, votes, used,
+                                          backprop)
+    return mean_t, var_t, sq, fit
 
 
 def m_step(votes: Tensor, used: Tensor, ignored: Tensor,
@@ -576,9 +606,9 @@ def _m_step(votes: Tensor, used: Tensor, ignored: Tensor,
     E-step."""
     scores = _net_scores(used, ignored, T.as_tensor(params.beta_use),
                          T.as_tensor(params.beta_ign))
-    poses, variances, sq = _moments(used, votes, config.denom_eps,
-                                    config.var_floor, workspace)
-    return RoutingOutput(scores, poses, variances), sq
+    poses, variances, sq, fit = _moments(used, votes, config.denom_eps,
+                                         config.var_floor, workspace)
+    return RoutingOutput(scores, poses, variances, fit), sq
 
 
 def route(params: RoutingParams, caps: CapsuleBatch, config: RoutingConfig,

@@ -153,8 +153,8 @@ def record(out_data: np.ndarray, srcs: Sequence[Tensor],
     record it on the operands' tape if any of them is tracked.
 
     ``vjp(g)`` maps the output gradient ``g`` (shaped like ``out_data``)
-    to one gradient array per source, in ``srcs`` order, untracked
-    sources included. Every op here is built on this, and so is any
+    to one gradient array per source, in ``srcs`` order, or None for an
+    untracked source. Every op here is built on this, and so is any
     fused op defined outside this module.
     """
     tape = _result_tape(srcs)
@@ -172,8 +172,8 @@ def backward(tape: Tape, loss: Tensor) -> dict[int, np.ndarray]:
     the VJP gave it, since a VJP may hand one array to several sources;
     the second is added into a new buffer that ``backward`` owns, and
     later ones are summed into that buffer in place when that keeps its
-    shape and dtype. VJP outputs are never written. Each interior
-    gradient is dropped once its VJP has run.
+    shape and dtype. VJP outputs are never written, and may be None for
+    an untracked source. Each interior gradient is dropped after its VJP.
     """
     if loss.tape is not tape or loss.node is None:
         raise ValueError("loss is not tracked on this tape")

@@ -419,10 +419,24 @@ def _composed_moments(x):
                        0.01)
 
 
+def _fused_moments(x):
+    return R._moments(x["used"], x["votes"], MOMENTS_EPS, 0.01, {})
+
+
 def _moments_case(half):
-    return (lambda x: R._moments(x["used"], x["votes"], MOMENTS_EPS,
-                                 0.01, {})[half],
+    return (lambda x: _fused_moments(x)[half],
             lambda x: _composed_moments(x)[half], ("used", "votes"))
+
+
+def _fused_boundary(x):
+    # an M-step's fit hands the log-density node the M-step's inputs
+    mean, var, _, fit = _fused_moments(x)
+    return R._log_density(x["votes"], R.RoutingOutput(None, mean, var, fit))
+
+
+def _composed_boundary(x):
+    mean, var = _composed_moments(x)
+    return _composed_log_density(x | dict(mean=mean, var=var))
 
 
 # the generic-op chains that the E-step assignment, the D-step split and
@@ -467,6 +481,10 @@ FUSED_OPS = {
     "moments": _moments_case(slice(2)),
     "weighted_mean": _moments_case(0),
     "weighted_variance": _moments_case(1),
+    # the next E-step's log-density of that mean and variance, as one node
+    # over the M-step's inputs
+    "log_density_of_moments": (_fused_boundary, _composed_boundary,
+                               ("used", "votes")),
     "assignment_probs": (
         lambda x: R._assignment_probs(x["log_dens"], x["out_scores"]),
         _composed_assignment, ("log_dens", "out_scores")),
@@ -603,6 +621,60 @@ def test_desk_route_tape_length_is_pinned():
         before = len(tape)
         route(pt, caps, cfg)
         assert len(tape) - before == nodes
+
+
+def _traced_backward(tape, loss):
+    """backward's result, and each (source node, gradient) that a VJP
+    returned on the way; -1 marks an untracked source."""
+    returned = []
+
+    def traced(vjp, inputs):
+        def run(g):
+            grads = tuple(vjp(g))
+            returned.extend(zip(inputs, grads))
+            return grads
+        return run
+
+    tape._nodes[:] = [(inputs, vjp and traced(vjp, inputs))
+                      for inputs, vjp in tape._nodes]
+    return T.backward(tape, loss), returned
+
+
+@pytest.mark.parametrize("mode", R.MODES)
+def test_votes_take_three_gradients_per_layer(mode):
+    # the last M-step's, and one from each E/M boundary node, which
+    # replaces the log-density's and the previous M-step's: 3, not 5
+    cfg, p, caps, out_bias = random_instance(np.random.default_rng(6),
+                                             mode=mode, n_iters=3)
+    tape = T.Tape()
+    params, caps = p.tracked(tape), caps.tracked(tape)
+    votes = len(tape)
+    out = route(params, caps, cfg, out_bias=out_bias)
+    loss = T.add(T.reduce_sum(T.square(out.scores)),
+                 T.reduce_sum(T.mul(out.poses, out.variances)))
+    _, returned = _traced_backward(tape, loss)
+    assert sum(src == votes for src, _ in returned) == 3
+
+
+@pytest.mark.parametrize("mode", R.MODES)
+def test_untracked_sources_get_no_gradient(mode):
+    # data poses and scores: the votes node forms no poses gradient, nor
+    # the first E/M boundary the gradient of its constant used shares
+    cfg, p, caps, out_bias = random_instance(np.random.default_rng(7),
+                                             mode=mode, n_iters=3)
+    tape = T.Tape()
+    params = p.tracked(tape)
+    leaves = [leaf for _, leaf in params.items()]
+    if out_bias is not None:
+        out_bias = tape.leaf(out_bias)
+        leaves.append(out_bias)
+    out = route(params, caps, cfg, out_bias=out_bias)
+    loss = T.add(T.reduce_sum(T.square(out.scores)),
+                 T.reduce_sum(T.mul(out.poses, out.variances)))
+    grads, returned = _traced_backward(tape, loss)
+    untracked = [g for src, g in returned if src < 0]
+    assert untracked and all(g is None for g in untracked)
+    assert set(grads) == {leaf.node for leaf in leaves}
 
 
 # ---------------------------------------------------------------------------
@@ -1313,8 +1385,10 @@ def test_nothing_returned_aliases_the_workspace(mode):
                                                 WORKSPACE_DTYPES["float64"])
     workspace = {}
     for caps in batches[1:3]:
-        routed = _routed_arrays(route(p, caps, cfg, out_bias=out_bias,
-                                      want_trace=True, workspace=workspace))
+        result = route(p, caps, cfg, out_bias=out_bias, want_trace=True,
+                       workspace=workspace)
+        assert result[0].fit is None
+        routed = _routed_arrays(result)
         for name, value in routed.items():
             for buf in workspace.values():
                 assert not np.shares_memory(value, buf), name

@@ -368,6 +368,17 @@ def test_backward_returns_exactly_the_leaves_on_the_loss_path():
     assert T.backward(tape, off) == {off.node: 1.0}
 
 
+def test_backward_takes_none_for_an_untracked_source():
+    tape = T.Tape()
+    x = tape.leaf([1.0, 2.0])
+    data = T.tensor([3.0, 4.0])
+    y = T.record(x.data * data.data, (x, data),
+                 lambda g: (g * np.array([3.0, 4.0]), None))
+    grads = T.backward(tape, T.reduce_sum(y))
+    assert set(grads) == {x.node}
+    np.testing.assert_array_equal(grads[x.node], [3.0, 4.0])
+
+
 def test_backward_drops_interior_gradients():
     # 20 chained negations of a 1 MB leaf: keeping every interior
     # gradient would hold about 20 MB until the pass ends
