@@ -14,7 +14,6 @@ share one Beta-distributed weight per batch).
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,14 +36,12 @@ class CapsuleClassifier:
     layers: list[tuple[RoutingParams, RoutingConfig]]
     n_classes: int
 
-    def forward(self, caps: CapsuleBatch, workspace: dict | None = None):
-        """Route through every layer, in ``workspace`` if one is given
-        (see :func:`~capsem.routing.route`); returns the per-layer outputs."""
-        extra = {} if workspace is None else {"workspace": workspace}
+    def forward(self, caps: CapsuleBatch):
+        """Route through every layer; returns the per-layer outputs."""
         outs = []
         current = caps
         for params, config in self.layers:
-            out = route(params, current, config, **extra)
+            out = route(params, current, config)
             outs.append(out)
             current = CapsuleBatch(out.scores, out.poses)
         return outs
@@ -175,18 +172,13 @@ def _batch_gradients(model: CapsuleClassifier, scores, poses, targets):
 
 def _class_scores(model: CapsuleClassifier, caps: CapsuleBatch) -> np.ndarray:
     """Class-capsule scores, one row per sample, routed untracked in
-    chunks of CHUNK_SAMPLES that share one workspace; a zero-sample batch
-    is one empty chunk."""
+    chunks of CHUNK_SAMPLES; a zero-sample batch is one empty chunk."""
     scores, poses = T.asarray(caps.scores), T.asarray(caps.poses)
-    # a stand-in route() without the keyword, such as the benchmark's
-    # wrapper tracer, routes without a workspace
-    workspace = {} if "workspace" in inspect.signature(route).parameters \
-        else None
     chunks = []
     for lo in range(0, max(len(scores), 1), CHUNK_SAMPLES):
         chunk = CapsuleBatch(scores[lo:lo + CHUNK_SAMPLES],
                              poses[lo:lo + CHUNK_SAMPLES])
-        chunks.append(model.forward(chunk, workspace)[-1].scores.data)
+        chunks.append(model.forward(chunk)[-1].scores.data)
     return np.concatenate(chunks)
 
 

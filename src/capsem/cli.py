@@ -187,10 +187,9 @@ def _dump_trace(model, caps, path):
     """Write the routing trace of the first chunk ``predict_proba`` routes."""
     current = CapsuleBatch(T.asarray(caps.scores)[:CHUNK_SAMPLES],
                            T.asarray(caps.poses)[:CHUNK_SAMPLES])
-    doc, workspace = {"layers": []}, {}
+    doc = {"layers": []}
     for params, config in model.layers:
-        out, trace = route(params, current, config, want_trace=True,
-                           workspace=workspace)
+        out, trace = route(params, current, config, want_trace=True)
         doc["layers"].append({"iterations": [
             {name: value.tolist() for name, value in vars(step).items()}
             for step in trace.iterations]})

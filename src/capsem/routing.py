@@ -25,15 +25,12 @@ so a layer records 8 n_iters - 1 nodes (23 at n_iters = 3), and 21 when
 the input scores are untracked too, as the first D-step is then
 constant. The log-density after a tracked M-step is one node over that
 M-step's votes and used shares, whose VJP forms v - mu once for both, so
-the votes take 3 gradients per layer at n_iters = 3, not 5. The votes,
-D-step, net-score and M-step VJPs form no gradient for an untracked
-source. Most sums over inputs and over pose components run as batched
-matmuls (:func:`capsem.tensor._product`).
-In :func:`route`, the squared deviations (v - mu)^2 that an M-step fits
-its variances from feed the next E-step's log-density; no VJP reads
-them, so every iteration reuses one buffer. That buffer and the votes
-live in a workspace: the caller's, which it keeps across untracked calls
-only, or one that the call makes for itself.
+the votes take 3 gradients per layer at n_iters = 3, not 5. No fused VJP
+forms a gradient for an untracked source. Most sums over inputs and over
+pose components run as batched matmuls (:func:`capsem.tensor._product`).
+The 5-D arrays (the votes, each M-step's (v - mu)^2 for the next
+E-step, the VJPs' v - mu) are pooled by :func:`capsem.tensor._buffer`,
+reused only once no array, Tensor or tape closure holds them.
 
 Three parameter-sharing modes exist:
 
@@ -332,34 +329,16 @@ def _check_layout(params: RoutingParams, config: RoutingConfig) -> None:
 # the four phases
 
 
-def _scratch(workspace: dict, name: str, shape, dtype) -> np.ndarray:
-    """A C-contiguous ``shape`` view of the flat buffer ``workspace[name]``,
-    replaced when it is too small or of another dtype."""
-    size = math.prod(shape)
-    buf = workspace.get(name)
-    if buf is None or buf.size < size or buf.dtype != dtype:
-        buf = workspace[name] = np.empty(size, dtype)
-    return buf[:size].reshape(shape)
-
-
 def compute_votes(params: RoutingParams, caps: CapsuleBatch,
-                  config: RoutingConfig, out_bias=None,
-                  workspace: dict | None = None) -> Tensor:
+                  config: RoutingConfig, out_bias=None) -> Tensor:
     """Per-pair predictions V of shape (batch, n_in, n_out, d_cov, d_out).
 
     Poses times weights over the input-property axis, plus the bias, as
     one tape node; weights/biases broadcast over whichever of the pair
     indexes the sharing mode drops. Variable-output mode has no learned
     bias and requires ``out_bias`` of shape (n_out, d_cov, d_out). The
-    votes go to ``workspace``'s buffer, or one made for the call; with a
-    tracked input a workspace is a ValueError, as the VJPs read them.
+    votes are pooled: no call reuses them while they or their tape live.
     """
-    if workspace is None:
-        workspace = {}
-    elif any(getattr(x, "tape", None) is not None for x in (
-            *dict(params.items()).values(), caps.scores, caps.poses,
-            out_bias)):
-        raise ValueError("a routing workspace is for untracked calls only")
     poses = T.as_tensor(caps.poses)
     _, n, c, d = poses.shape
     if (c, d) != (config.d_cov, config.d_in):
@@ -385,8 +364,8 @@ def compute_votes(params: RoutingParams, caps: CapsuleBatch,
             )
         wd = wd[None]  # an output axis of length 1
     mm_dtype = np.result_type(pd, wd)
-    out = _scratch(workspace, "votes", (len(pd), n) + bias.shape[-3:],
-                   np.result_type(mm_dtype, bias.data))
+    out = T._buffer((len(pd), n) + bias.shape[-3:],
+                    np.result_type(mm_dtype, bias.data))
     # the product goes there only in its own shape and dtype, so the
     # buffer never decides which loop numpy computes it with
     fits = out.dtype == mm_dtype and config.mode != "variable_output"
@@ -407,21 +386,17 @@ def compute_votes(params: RoutingParams, caps: CapsuleBatch,
                     vjp)
 
 
-def _squared_deviations(v: np.ndarray, mu: np.ndarray,
-                        workspace: dict) -> np.ndarray:
-    """(v - mu)^2 of 5-D votes about 4-D output means, in ``workspace``'s
-    (v - mu)^2 buffer."""
-    sq = np.subtract(v, mu[:, None], out=_scratch(
-        workspace, "sq", v.shape, np.result_type(v, mu)))
-    sq *= sq
-    return sq
+def _deviations(v: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """v - mu of 5-D votes about 4-D output means, in a pooled buffer."""
+    return np.subtract(v, mu[:, None],
+                       out=T._buffer(v.shape, np.result_type(v, mu)))
 
 
 def _log_density(votes: Tensor, state: RoutingOutput,
                  sq: np.ndarray | None = None) -> Tensor:
     """Log of each output's Gaussian density at each input's votes,
     summed over the d_cov x d_out components: shape (batch, n_in, n_out).
-    ``sq``, if given, is (v - mu)^2 as :func:`_squared_deviations` gives.
+    ``sq``, if given, is (v - mu)^2, as :func:`_moments` gives.
 
     One tape node. With d = v - mu, the VJPs of an output gradient g are
     dv = -g d / var, dmu = -sum_i dv and dvar = (sum_i g d^2 / var -
@@ -434,7 +409,8 @@ def _log_density(votes: Tensor, state: RoutingOutput,
     """
     v, mu, var = votes.data, state.poses.data, state.variances.data
     if sq is None:
-        sq = _squared_deviations(v, mu, {})
+        sq = _deviations(v, mu)
+        sq *= sq
     log_norm = np.log(_TWO_PI * var).sum(axis=(2, 3))
     quad = T._product(sq, "bijch", 0.5 / var, "bjch", "bij")
     out = -0.5 * log_norm[:, None] - quad
@@ -443,20 +419,22 @@ def _log_density(votes: Tensor, state: RoutingOutput,
         srcs, backprop = (votes, fit[3]), fit[4]
     else:
         srcs, backprop = (votes, state.poses, state.variances), None
+    const = [s.node is None for s in srcs]  # a VJP holds no Tensor
 
     def vjp(g):
-        d = v - mu[:, None]
-        g_d = d / var[:, None]
+        d = _deviations(v, mu)
+        g_d = np.divide(d, var[:, None],
+                        out=T._buffer(d.shape, np.result_type(d, var)))
         g_d *= g[..., None, None]
         g_mv = np.stack((g_d.sum(axis=1),
                          np.einsum("bijch,bijch->bjch", g_d, d)))
         g_mv[1] -= g.sum(axis=1)[..., None, None]
         g_mv[1] *= 0.5 / var
         if backprop is None:
-            return np.negative(g_d, out=g_d), *g_mv
+            return [None if c else x for c, x in
+                    zip(const, (np.negative(g_d, out=g_d), *g_mv))]
         g_u, g_v = backprop(d, g_mv)
-        g_v -= g_d
-        return g_v, g_u
+        return None if g_v is None else np.subtract(g_v, g_d, out=g_v), g_u
 
     return T.record(out, srcs, vjp)
 
@@ -471,11 +449,13 @@ def _assignment_probs(log_dens: Tensor, out_scores: Tensor) -> Tensor:
     lse = np.max(logits, axis=2, keepdims=True)
     lse = np.log(np.exp(logits - lse).sum(axis=2, keepdims=True)) + lse
     p = np.exp(logits - lse)
+    const_l, const_s = log_dens.node is None, out_scores.node is None
 
     def vjp(g):
         dl = g * p
         dl -= p * dl.sum(axis=2, keepdims=True)
-        return dl, dl.sum(axis=1) * expit(-s)
+        return (None if const_l else dl,
+                None if const_s else dl.sum(axis=1) * expit(-s))
 
     return T.record(p, (log_dens, out_scores), vjp)
 
@@ -537,11 +517,10 @@ def _net_scores(used: Tensor, ignored: Tensor, beta_use: Tensor,
                     (used, ignored, beta_use, beta_ign), vjp)
 
 
-def _moments(used: Tensor, votes: Tensor, eps: float, floor: float,
-             workspace: dict) -> tuple:
+def _moments(used: Tensor, votes: Tensor, eps: float, floor: float) -> tuple:
     """The used-share-weighted mean and variance of the votes, the
-    (v - mu)^2 the variance is fitted from, in ``workspace``, and their
-    ``fit`` (mean, variance, votes, used, VJP body), None if untracked.
+    (v - mu)^2 the variance is fitted from, and their ``fit`` (mean,
+    variance, votes, used, VJP body), None if untracked.
 
     With D = sum_i u + eps, mu = sum_i u v / D and var = sum_i u
     (v - mu)^2 / D + floor fill the halves of one array, recorded as one
@@ -556,10 +535,11 @@ def _moments(used: Tensor, votes: Tensor, eps: float, floor: float,
     both = np.empty((2,) + dn.shape[:2] + v.shape[3:], np.result_type(u, v))
     mean, var = both
     np.divide(T._product(u, "bij", v, "bijch", "bjch"), dn, out=mean)
-    sq = _squared_deviations(v, mean, workspace)
+    sq = _deviations(v, mean)
+    sq *= sq
     np.divide(T._product(u, "bij", sq, "bijch", "bjch"), dn, out=var)
     var += floor
-    const_u = used.node is None
+    const_u, const_v = used.node is None, votes.node is None
 
     def backprop(d, g):  # overwrites both
         g_mu, g_var = np.divide(g, dn, out=g)
@@ -572,13 +552,15 @@ def _moments(used: Tensor, votes: Tensor, eps: float, floor: float,
             g_u = T._product(d, "bijch", g_mu, "bjch", "bij")
             g_u += np.einsum("bijch,bjch,bijch->bij", d, g_var, d)
             g_u -= np.einsum("bjch,bjch->bj", g_var, var - floor)[:, None]
+        if const_v:  # no dv
+            return g_u, None
         d *= np.multiply(g_var, 2.0, out=g_var)[:, None]
         d += g_mu[:, None]
         d *= u[..., None, None]
         return g_u, d
 
     node = T.record(both, (used, votes),
-                    lambda g: backprop(v - mean[:, None], g.copy()))
+                    lambda g: backprop(_deviations(v, mean), g.copy()))
     mean_t = T.record(mean, (node,),
                       lambda g: (np.stack((g, np.zeros_like(g))),))
     var_t = T.record(var, (node,),
@@ -596,24 +578,21 @@ def m_step(votes: Tensor, used: Tensor, ignored: Tensor,
     ignored share with beta_ign, summed over inputs. Means and variances
     are the used-share-weighted moments of the votes.
     """
-    return _m_step(votes, used, ignored, params, config, {})[0]
+    return _m_step(votes, used, ignored, params, config)[0]
 
 
 def _m_step(votes: Tensor, used: Tensor, ignored: Tensor,
-            params: RoutingParams, config: RoutingConfig,
-            workspace: dict) -> tuple[RoutingOutput, np.ndarray]:
-    """:func:`m_step` and its (v - mu)^2 in ``workspace``, for the next
-    E-step."""
+            params: RoutingParams, config: RoutingConfig) -> tuple:
+    """:func:`m_step` and its (v - mu)^2, for the next E-step."""
     scores = _net_scores(used, ignored, T.as_tensor(params.beta_use),
                          T.as_tensor(params.beta_ign))
     poses, variances, sq, fit = _moments(used, votes, config.denom_eps,
-                                         config.var_floor, workspace)
+                                         config.var_floor)
     return RoutingOutput(scores, poses, variances, fit), sq
 
 
 def route(params: RoutingParams, caps: CapsuleBatch, config: RoutingConfig,
-          out_bias=None, want_trace: bool = False,
-          workspace: dict | None = None):
+          out_bias=None, want_trace: bool = False):
     """Run the full loop: votes once, then n_iters of E-step/D-step/M-step.
 
     The whole computation lives on one tape, so gradients flow through
@@ -621,20 +600,19 @@ def route(params: RoutingParams, caps: CapsuleBatch, config: RoutingConfig,
     of detached per-iteration arrays when ``want_trace`` is set. Raises
     DomainError when the final outputs are not finite.
 
-    The votes, and one (v - mu)^2 buffer that every iteration reuses,
-    live in ``workspace``, a dict its caller creates empty and keeps
-    across untracked calls only (see :func:`compute_votes`), or else in
-    one made for this call.
+    The votes and (v - mu)^2 are pooled (:func:`capsem.tensor._buffer`):
+    reused only once no array, Tensor or tape holds them, so every
+    iteration writes one (v - mu)^2 buffer.
     """
-    votes = compute_votes(params, caps, config, out_bias, workspace)
-    workspace = {} if workspace is None else workspace
+    votes = compute_votes(params, caps, config, out_bias)
     in_scores = T.as_tensor(caps.scores)
     state, sq = None, None
     steps: list[IterationTrace] = []
     for it in range(config.n_iters):
         probs = e_step(votes, state, it == 0, sq)
+        sq = None  # free for this M-step's
         used, ignored = d_step(in_scores, probs)
-        state, sq = _m_step(votes, used, ignored, params, config, workspace)
+        state, sq = _m_step(votes, used, ignored, params, config)
         if want_trace:
             steps.append(IterationTrace(
                 probs=np.array(probs.data, copy=True),

@@ -40,7 +40,10 @@ Float32 runs therefore need nothing but float32 parameters and inputs.
 
 from __future__ import annotations
 
+import itertools
 import math
+import sys
+import threading
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -53,6 +56,42 @@ def float_array(data) -> np.ndarray:
     """``data`` as float32 if it already is, else as float64."""
     arr = np.asarray(data)
     return arr if arr.dtype == np.float32 else arr.astype(np.float64, copy=False)
+
+
+_POOL: list[list] = []  # [flat buffer, last request that found it in use]
+_POOL_LOCK = threading.Lock()
+_REQUESTS = itertools.count()
+
+
+def _buffer(shape, dtype) -> np.ndarray:
+    """An uninitialised C-contiguous array; from 128 KiB, glibc's default
+    mmap threshold, a view of a flat buffer from a process-wide pool.
+
+    The pool reuses a buffer only once it alone holds it: numpy keeps the
+    buffer as ``.base`` of every view, reshape and slice, so a live array,
+    Tensor or tape closure over it blocks reuse. Of the free buffers that
+    fit, it takes the one last seen in use, likeliest still in cache; if
+    none fits, it drops its free ones of ``dtype`` first, so it never
+    holds more than were live at once.
+    """
+    dtype, size = np.dtype(dtype), math.prod(shape)
+    if size * dtype.itemsize < 128 * 1024:
+        return np.empty(shape, dtype)
+    with _POOL_LOCK:
+        now, pick = next(_REQUESTS), None
+        for entry in _POOL:
+            # in use: more references than the entry's and the argument
+            if sys.getrefcount(entry[0]) > 2:
+                entry[1] = now
+            elif (entry[0].dtype == dtype and entry[0].size >= size
+                  and (pick is None or entry[1] >= pick[1])):
+                pick = entry
+        if pick is None:
+            _POOL[:] = [e for e in _POOL if e[0].dtype != dtype or e[1] == now]
+            pick = [np.empty(size, dtype), now]
+            _POOL.append(pick)
+        pick[1] = now
+        return pick[0][:size].reshape(shape)
 
 
 class Tape:
@@ -153,9 +192,9 @@ def record(out_data: np.ndarray, srcs: Sequence[Tensor],
     record it on the operands' tape if any of them is tracked.
 
     ``vjp(g)`` maps the output gradient ``g`` (shaped like ``out_data``)
-    to one gradient array per source, in ``srcs`` order, or None for an
-    untracked source. Every op here is built on this, and so is any
-    fused op defined outside this module.
+    to one gradient array per source, in ``srcs`` order and that source's
+    shape, or None for an untracked source. Every op here is built on
+    this, and so is any fused op defined outside this module.
     """
     tape = _result_tape(srcs)
     if tape is None:
@@ -168,12 +207,11 @@ def backward(tape: Tape, loss: Tensor) -> dict[int, np.ndarray]:
     """Reverse-mode pass from a scalar ``loss``; returns leaf node id ->
     gradient, exactly for the tracked leaves on the path to the loss.
 
-    Fan-out sums, in arrival order. A node's first gradient is kept as
-    the VJP gave it, since a VJP may hand one array to several sources;
-    the second is added into a new buffer that ``backward`` owns, and
-    later ones are summed into that buffer in place when that keeps its
-    shape and dtype. VJP outputs are never written, and may be None for
-    an untracked source. Each interior gradient is dropped after its VJP.
+    Fan-out sums, in arrival order, each into a new array: a VJP may
+    hand one array to several sources, so VJP outputs are never written.
+    A large sum takes a pooled buffer, which :func:`_buffer` reuses only
+    once no array holds it. VJP outputs may be None for an untracked
+    source. Each interior gradient is dropped after its VJP.
     """
     if loss.tape is not tape or loss.node is None:
         raise ValueError("loss is not tracked on this tape")
@@ -182,25 +220,16 @@ def backward(tape: Tape, loss: Tensor) -> dict[int, np.ndarray]:
     grads: dict[int, np.ndarray] = {
         loss.node: np.ones((), dtype=loss.data.dtype)
     }
-    owned: set[int] = set()
     for nid in range(loss.node, -1, -1):
         inputs, vjp = tape._nodes[nid]
         if vjp is None or nid not in grads:
             continue
-        owned.discard(nid)
         for src, gsrc in zip(inputs, vjp(grads.pop(nid))):
             if src < 0:
                 continue
             acc = grads.get(src)
-            if acc is None:
-                grads[src] = gsrc
-            elif (src in owned and np.shape(gsrc) == acc.shape
-                  and np.result_type(acc, gsrc) == acc.dtype):
-                np.add(acc, gsrc, out=acc)
-            else:
-                # asarray: two 0-d arrays sum to a numpy scalar
-                grads[src] = np.asarray(acc + gsrc)
-                owned.add(src)
+            grads[src] = gsrc if acc is None else np.add(
+                acc, gsrc, out=_buffer(acc.shape, np.result_type(acc, gsrc)))
     return grads
 
 

@@ -1,4 +1,5 @@
 import importlib.util
+import mmap
 from pathlib import Path
 
 import pytest
@@ -14,12 +15,13 @@ END_TO_END = [
 ]
 
 
-def _run(workload, pair, side, rate, step_ms):
+def _run(workload, pair, side, rate, step_ms, faults=100, rss_kb=50_000):
     metrics = {"samples_per_s": {"value": rate, "unit": "1/s"},
                "step_ms_p50": {"value": step_ms, "unit": "ms"}}
     return dict(workload=workload, pair=pair, side=side,
                 result=dict(correct=True, attempted=10, failed=0,
-                            metrics=metrics))
+                            metrics=metrics),
+                ru_minflt=faults, ru_maxrss=rss_kb)
 
 
 def _runs(parent, change, step_ms=(10.0, 10.0)):
@@ -92,3 +94,47 @@ def test_summary_skips_an_unfinished_pair():
     rate = bench_pairs.summarize(runs, END_TO_END)["w.samples_per_s"]
     assert rate["parent_q1_median_q3"][1] == 100.5
     assert rate["change_won_pairs"] == 2
+
+
+def test_summary_gives_each_sides_median_faults_and_rss_ungated(capsys):
+    runs = []
+    for k, (p, c) in enumerate([(900, 10), (1000, 30), (1100, 20)]):
+        runs += [_run("w", k, "parent", 100.0, 10.0, faults=p,
+                      rss_kb=1000 + k),
+                 _run("w", k, "change", 100.0, 10.0, faults=c,
+                      rss_kb=2000 + k)]
+    runs.append(_run("w", 3, "parent", 100.0, 10.0, faults=5))  # unpaired
+    summary = bench_pairs.summarize(runs, END_TO_END)
+    assert summary["w.ru_minflt"] == {"parent_median": 1000,
+                                      "change_median": 20}
+    assert summary["w.ru_maxrss"] == {"parent_median": 1001,
+                                      "change_median": 2001}
+    # a counter takes no verdict: the report passes on the metrics alone
+    doc = {"summary": summary, "pairs": runs}
+    assert bench_pairs.report(doc, 3, None)
+    assert "w.ru_minflt" in capsys.readouterr().out
+
+
+def test_run_once_records_the_childs_faults_and_rss(tmp_path):
+    # a stand-in perfbench/run.py that touches 8 MiB and prints a result
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(
+        "import json, mmap, sys\n"
+        "buf = bytearray(8 << 20)\n"
+        "buf[::mmap.PAGESIZE] = b'x' * len(buf[::mmap.PAGESIZE])\n"
+        "print('noise')\n"
+        "print(json.dumps({'argv': sys.argv[1:]}))\n")
+    run = bench_pairs.run_once(tmp_path, "w", 7, 2)
+    assert run["result"] == {"argv": ["--workload", "w", "--seed", "7",
+                                      "--seconds", "2"]}
+    assert run["ru_minflt"] >= (8 << 20) // mmap.PAGESIZE  # a page each
+    assert run["ru_maxrss"] >= 8 << 10
+
+
+def test_run_once_stops_on_a_run_without_a_result_line(tmp_path, capsys):
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(
+        "import sys\nsys.stderr.write('broken')\nsys.exit(3)\n")
+    with pytest.raises(SystemExit, match="exit 3"):
+        bench_pairs.run_once(tmp_path, "w", 7, 2)
+    assert "broken" in capsys.readouterr().err

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from capsem import tensor as T
 from capsem.classifier import (TrainRegime, _batch_gradients,
                                build_constellation_classifier, evaluate,
                                train_classifier)
@@ -254,3 +255,15 @@ def test_predict_proba_memory_does_not_grow_with_batch(routed_data):
     peak_400 = _peak_mb(lambda: model.predict_proba(
         CapsuleBatch(scores, poses)))
     assert peak_400 <= 1.1 * peak_100, (peak_100, peak_400)
+
+
+def test_predict_proba_pool_does_not_grow_with_batch(routed_data):
+    # tracemalloc sees a pooled buffer only when it is made, so this
+    # counts the bytes the routing buffer pool holds
+    model, scores, poses, _ = routed_data
+    T._POOL.clear()
+    model.predict_proba(CapsuleBatch(scores[:100], poses[:100]))
+    held_100 = sum(e[0].nbytes for e in T._POOL)
+    model.predict_proba(CapsuleBatch(scores, poses))
+    assert len(scores) == 400 and held_100 > 0
+    assert sum(e[0].nbytes for e in T._POOL) == held_100

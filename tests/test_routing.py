@@ -1,6 +1,9 @@
 import dataclasses
 import functools
+import itertools
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -420,7 +423,7 @@ def _composed_moments(x):
 
 
 def _fused_moments(x):
-    return R._moments(x["used"], x["votes"], MOMENTS_EPS, 0.01, {})
+    return R._moments(x["used"], x["votes"], MOMENTS_EPS, 0.01)
 
 
 def _moments_case(half):
@@ -675,6 +678,26 @@ def test_untracked_sources_get_no_gradient(mode):
     untracked = [g for src, g in returned if src < 0]
     assert untracked and all(g is None for g in untracked)
     assert set(grads) == {leaf.node for leaf in leaves}
+    # hand-built E-step inputs, each of the votes, the output scores,
+    # poses and variances tracked or not: the log-density's generic node
+    # and the assignment form no gradient for an untracked one either
+    v = compute_votes(p, caps, cfg, out_bias).data
+    rng = np.random.default_rng(8)
+    values = dict(votes=v, scores=rng.normal(size=v.shape[:1] + v.shape[2:3]),
+                  poses=v.mean(axis=1), variances=v.var(axis=1) + 0.5)
+    for tracked in itertools.product((False, True), repeat=len(values)):
+        tape = T.Tape()
+        x = {name: tape.leaf(value) if t else T.tensor(value)
+             for (name, value), t in zip(values.items(), tracked)}
+        probs = e_step(x["votes"], R.RoutingOutput(
+            x["scores"], x["poses"], x["variances"]), first_iter=False)
+        if not any(tracked):
+            assert probs.tape is None
+            continue
+        grads, returned = _traced_backward(
+            tape, T.reduce_sum(T.square(probs)))
+        assert all(g is None for src, g in returned if src < 0), tracked
+        assert set(grads) == {t.node for t in x.values() if t.tape}, tracked
 
 
 # ---------------------------------------------------------------------------
@@ -1317,11 +1340,11 @@ def test_float32_stays_float32_through_backward(mode):
 
 
 # ---------------------------------------------------------------------------
-# the untracked workspace
+# the pooled 5-D buffers, routing's workspace
 
 # (weights and betas, biases or out_bias, capsules): in the last case the
 # votes matmul is float32 and the votes float64, so the matmul does not
-# write into the workspace
+# write into the votes' pooled buffer
 WORKSPACE_DTYPES = {"float64": ("f8", "f8", "f8"),
                     "float32": ("f4", "f4", "f4"),
                     "float32_params_float64_caps": ("f4", "f4", "f8"),
@@ -1358,76 +1381,159 @@ def _routed_arrays(result):
     return arrays
 
 
+def _free_buffers():
+    """The pooled buffers that the pool alone holds."""
+    # 2 references: the pool entry's and getrefcount's argument
+    return [T._POOL[k][0] for k in range(len(T._POOL))
+            if sys.getrefcount(T._POOL[k][0]) == 2]
+
+
 def test_workspace_changes_no_bit():
-    # one workspace serves every call below, across modes, dtypes and
-    # batch sizes that grow its buffers and then reuse them in part; each
-    # result must equal the same call without it, dtype included
-    workspace = {}
+    # each call routes first in the pool that the calls before it left,
+    # across modes, dtypes and batch sizes that grow its buffers and then
+    # reuse them in part, and then in an empty pool; both results must be
+    # equal, dtype included
+    pooled = False
     for mode in R.MODES:
         for dtypes in WORKSPACE_DTYPES.values():
             cfg, p, out_bias, batches = _workspace_case(mode, dtypes)
             for k, caps in enumerate(batches):
                 kw = dict(out_bias=out_bias, want_trace=k == 2)
-                got = _routed_arrays(route(p, caps, cfg, workspace=workspace,
-                                           **kw))
+                got = _routed_arrays(route(p, caps, cfg, **kw))
+                T._POOL.clear()
                 want = _routed_arrays(route(p, caps, cfg, **kw))
+                pooled |= bool(T._POOL)
                 assert got.keys() == want.keys()
                 for name, value in want.items():
                     where = (mode, dtypes, len(T.asarray(caps.scores)), name)
                     assert got[name].dtype == value.dtype, where
                     assert np.array_equal(got[name], value), where
-    assert sorted(workspace) == ["sq", "votes"]
+    assert pooled
 
 
 @pytest.mark.parametrize("mode", R.MODES)
 def test_nothing_returned_aliases_the_workspace(mode):
+    # an untracked route leaves every buffer it took free for reuse, and
+    # no array it returns or traces shares memory with one
     cfg, p, out_bias, batches = _workspace_case(mode,
                                                 WORKSPACE_DTYPES["float64"])
-    workspace = {}
+    T._POOL.clear()
     for caps in batches[1:3]:
-        result = route(p, caps, cfg, out_bias=out_bias, want_trace=True,
-                       workspace=workspace)
+        result = route(p, caps, cfg, out_bias=out_bias, want_trace=True)
         assert result[0].fit is None
         routed = _routed_arrays(result)
+        free = _free_buffers()
+        assert free and len(free) == len(T._POOL)
         for name, value in routed.items():
-            for buf in workspace.values():
-                assert not np.shares_memory(value, buf), name
+            assert not any(np.shares_memory(value, buf) for buf in free), name
+        del free  # else the next call could not reuse them
 
 
 def test_a_tracked_route_makes_one_squared_deviations_buffer(monkeypatch):
     # no VJP reads (v - mu)^2, so each M-step of a tracked route writes
-    # the same buffer, and the next call makes its own
-    cfg, p, caps, _ = random_instance(np.random.default_rng(8), n_iters=3)
-    real, seen = R._squared_deviations, []
-    monkeypatch.setattr(R, "_squared_deviations",
-                        lambda *args: seen.append(real(*args)) or seen[-1])
+    # one pooled buffer; no later request takes the votes that a live
+    # tape reads. Only addresses are kept, which hold no buffer; with no
+    # backward run, every v - mu formed is an M-step's (v - mu)^2
+    cfg, p, _, batches = _workspace_case("fixed", WORKSPACE_DTYPES["float64"])
+    seen = {"votes": [], "sq": []}
+
+    def spy(name, real):
+        def call(*args):
+            out = real(*args)
+            seen[name].append(T.asarray(out).ctypes.data)
+            return out
+        return call
+
+    monkeypatch.setattr(R, "compute_votes", spy("votes", R.compute_votes))
+    monkeypatch.setattr(R, "_deviations", spy("sq", R._deviations))
     tape = T.Tape()
     for _ in range(2):
-        route(p.tracked(tape), caps.tracked(tape), cfg)
-    first, second = seen[:3], seen[3:]
+        route(p.tracked(tape), batches[1].tracked(tape), cfg)
+    first, second = seen["sq"][:3], seen["sq"][3:]
     assert len(first) == len(second) == 3
-    assert all(np.shares_memory(sq, first[0]) for sq in first)
-    assert all(np.shares_memory(sq, second[0]) for sq in second)
-    assert not np.shares_memory(first[0], second[0])
+    assert len(set(first)) == len(set(second)) == 1
+    # the second call's votes may take the first call's free (v - mu)^2
+    votes = seen["votes"]
+    assert len(set(votes)) == 2
+    assert first[0] != votes[0] and second[0] not in votes
 
 
-@pytest.mark.parametrize("tracked", ["weights", "beta_ign", "scores", "poses",
-                                     "out_bias"])
-def test_workspace_refuses_tracked_inputs(tracked):
-    # a tracked route's VJPs read its votes, which the workspace's next
-    # call would overwrite
+def _gradients_of_a_tracked_route(p, caps, cfg, out_bias, between=None):
+    """Every leaf gradient of one tracked route, after ``between()`` ran
+    between its forward and its backward."""
+    tape = T.Tape()
+    params, caps = p.tracked(tape), caps.tracked(tape)
+    leaves = dict(params.items(), scores=caps.scores, poses=caps.poses)
+    if out_bias is not None:
+        out_bias = leaves["out_bias"] = tape.leaf(out_bias)
+    out = route(params, caps, cfg, out_bias=out_bias)
+    loss = T.add(T.reduce_sum(T.square(out.scores)),
+                 T.reduce_sum(T.mul(out.poses, out.variances)))
+    if between is not None:
+        between()
+    grads = T.backward(tape, loss)
+    return {name: grads[leaf.node] for name, leaf in leaves.items()}
+
+
+@pytest.mark.parametrize("mode", R.MODES)
+def test_routes_between_forward_and_backward_change_no_gradient(mode):
+    # a recorded tape's votes and the buffers its backward sums into stay
+    # its own while tracked and untracked routes of the same shapes, and
+    # their backward, run on other inputs
+    cfg, p, out_bias, batches = _workspace_case(mode,
+                                                WORKSPACE_DTYPES["float64"])
+    caps = batches[1]
+    other = CapsuleBatch(caps.scores[::-1] * 0.5, caps.poses[::-1] * 2.0)
+
+    def between():
+        route(p, other, cfg, out_bias=out_bias, want_trace=True)
+        _gradients_of_a_tracked_route(p, other, cfg, out_bias)
+        route(p, other, cfg, out_bias=out_bias)
+
+    want = _gradients_of_a_tracked_route(p, caps, cfg, out_bias)
+    got = _gradients_of_a_tracked_route(p, caps, cfg, out_bias, between)
+    assert got.keys() == want.keys()
+    for name, value in want.items():
+        assert got[name].dtype == value.dtype, name
+        assert np.array_equal(got[name], value), name
+
+
+def test_threads_routing_different_inputs_get_the_serial_results():
+    # four threads, each routing its own input tracked and untracked in
+    # turn, with the interpreter switching threads as often as it can
     cfg, p, out_bias, batches = _workspace_case("variable_output",
                                                 WORKSPACE_DTYPES["float64"])
-    tape = T.Tape()
-    fields = dict(p.items(), scores=batches[1].scores,
-                  poses=batches[1].poses, out_bias=out_bias)
-    fields[tracked] = tape.leaf(fields[tracked])
-    caps = CapsuleBatch(fields.pop("scores"), fields.pop("poses"))
-    out_bias = fields.pop("out_bias")
-    params = RoutingParams.from_items(fields.items())
-    workspace = {}
-    for entry in (route, compute_votes):
-        with pytest.raises(ValueError, match="untracked"):
-            entry(params, caps, cfg, out_bias, workspace=workspace)
-        assert workspace == {}
-    route(params, caps, cfg, out_bias=out_bias)  # fine without one
+    caps = batches[1]
+    inputs = [CapsuleBatch(caps.scores[::-1] * 0.5 ** k,
+                           caps.poses[::-1] * 2.0 ** k) for k in range(4)]
+
+    def run(c):
+        return (_routed_arrays(route(p, c, cfg, out_bias=out_bias,
+                                     want_trace=True)),
+                _gradients_of_a_tracked_route(p, c, cfg, out_bias))
+
+    serial = [run(c) for c in inputs]
+    results = [[] for _ in inputs]
+
+    def work(k):
+        for _ in range(4):
+            results[k].append(run(inputs[k]))
+
+    threads = [threading.Thread(target=work, args=(k,))
+               for k in range(len(inputs))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for k, runs in enumerate(results):
+        assert len(runs) == 4
+        for got in runs:
+            for want_part, got_part in zip(serial[k], got):
+                for name, value in want_part.items():
+                    assert np.array_equal(got_part[name], value), (k, name)

@@ -455,6 +455,73 @@ def test_contract_gradients_match_finite_differences():
 
 
 # ---------------------------------------------------------------------------
+# the buffer pool
+
+_BIG = (128, 128)  # 128 KiB of float64, the smallest request pooled
+
+
+def test_buffer_pools_only_requests_of_128_kib_or_more():
+    T._POOL.clear()
+    small = T._buffer((_BIG[0] - 1, _BIG[1]), np.float64)
+    assert small.shape == (127, 128) and small.flags.c_contiguous
+    assert not T._POOL
+    big = T._buffer(_BIG, np.float64)
+    assert big.shape == _BIG and big.flags.c_contiguous
+    assert len(T._POOL) == 1 and big.base is T._POOL[0][0]
+
+
+def test_buffer_reuses_only_what_the_pool_alone_holds():
+    T._POOL.clear()
+    first = T._buffer(_BIG, np.float64)
+    view = first[1:].T  # numpy keeps the pooled buffer as its base
+    del first
+    second = T._buffer(_BIG, np.float64)
+    assert not np.shares_memory(view, second)
+    del view
+    third = T._buffer((64, 256), np.float64)
+    assert third.base is T._POOL[0][0] and len(T._POOL) == 2
+    assert not np.shares_memory(third, second)
+
+
+def test_buffer_takes_the_free_buffer_last_seen_in_use():
+    # ids, since a reference would block reuse
+    T._POOL.clear()
+    held = [T._buffer(_BIG, np.float64) for _ in range(2)]
+    ids = [id(x.base) for x in held]
+    del held[0]
+    again = T._buffer(_BIG, np.float64)  # the first buffer, handed out
+    assert id(again.base) == ids[0]     # last, is free again below
+    del again
+    other = T._buffer((2,) + _BIG, np.float32)  # sees the second in use
+    del held[0]
+    assert id(T._buffer(_BIG, np.float64).base) == ids[1]
+
+
+def test_buffer_drops_free_buffers_too_small_before_it_makes_one():
+    # the pool never holds more buffers of a dtype than were live at once
+    T._POOL.clear()
+    busy = T._buffer(_BIG, np.float64)
+    free = [T._buffer(_BIG, np.float64) for _ in range(2)]
+    other = T._buffer((2,) + _BIG, np.float32)
+    del free[:], other
+    big = T._buffer((2,) + _BIG, np.float64)
+    assert len(T._POOL) == 3
+    assert [e[0].dtype for e in T._POOL] == [np.float64, np.float32,
+                                             np.float64]
+    assert busy.base is T._POOL[0][0] and big.base is T._POOL[2][0]
+
+
+def test_backward_sums_fan_in_in_a_pooled_buffer():
+    tape = T.Tape()
+    x = tape.leaf(np.full(_BIG, 2.0))
+    loss = T.reduce_sum(T.add(T.add(x, x), x))
+    T._POOL.clear()
+    grad = T.backward(tape, loss)[x.node]
+    np.testing.assert_array_equal(grad, np.full(_BIG, 3.0))
+    assert grad.base is T._POOL[-1][0]
+
+
+# ---------------------------------------------------------------------------
 # contract against np.einsum: forward and both VJPs
 
 # extents of the routing indexes: batch b, inputs i, outputs j, pose rows c,

@@ -12,7 +12,9 @@ last line of each run's output is kept as its result. The output file
 (rewritten after every pair, so an interrupted series keeps what it ran)
 has the schema of the repository's ``BENCH_*.json`` files: a ``summary``
 per workload and end-to-end metric of ``BENCHMARK.json``, and every run
-under ``pairs``.
+under ``pairs``. Each run entry also keeps the process's minor page
+faults and peak resident set size, from ``os.wait4``, and the summary
+gives their medians per side, which no rule below gates.
 
 For each metric the report gives the parent's quartiles, the change's
 median and the pairs the change won (ties count for neither side). A gain
@@ -33,22 +35,35 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
+
+# per-run process counters from os.wait4: minor page faults, and the peak
+# resident set size in KiB (Linux's unit for ru_maxrss)
+USAGE = ("ru_minflt", "ru_maxrss")
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """The result line of one ``perfbench/run.py`` process in ``tree``."""
-    proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds)],
-        cwd=tree, capture_output=True, text=True)
-    lines = proc.stdout.strip().splitlines()
-    try:
-        return json.loads(lines[-1])
-    except (IndexError, json.JSONDecodeError):
-        sys.stderr.write(proc.stderr)
-        raise SystemExit(f"{tree}: {workload} seed {seed} gave no result "
-                         f"line (exit {proc.returncode})") from None
+    """One ``perfbench/run.py`` process in ``tree``: its last output line
+    as ``result``, and its :data:`USAGE` counters."""
+    with tempfile.TemporaryFile("w+") as out, \
+            tempfile.TemporaryFile("w+") as err:
+        proc = subprocess.Popen(
+            [sys.executable, "perfbench/run.py", "--workload", workload,
+             "--seed", str(seed), "--seconds", str(seconds)],
+            cwd=tree, stdout=out, stderr=err, text=True)
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        out.seek(0)
+        lines = out.read().strip().splitlines()
+        try:
+            result = json.loads(lines[-1])
+        except (IndexError, json.JSONDecodeError):
+            err.seek(0)
+            sys.stderr.write(err.read())
+            raise SystemExit(f"{tree}: {workload} seed {seed} gave no "
+                             f"result line (exit {proc.returncode})") from None
+    return dict(result=result, **{key: getattr(usage, key) for key in USAGE})
 
 
 def quartiles(values: list[float]) -> list[float]:
@@ -60,19 +75,20 @@ def quartiles(values: list[float]) -> list[float]:
 
 def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
     """Per ``workload.metric``: its direction and bound, the parent's
-    quartiles, the change's median and the pairs the change won."""
+    quartiles, the change's median and the pairs the change won; per
+    ``workload.counter`` of :data:`USAGE`, each side's median."""
     summary = {}
     workloads = list(dict.fromkeys(r["workload"] for r in runs))
     for workload in workloads:
         pairs: dict[int, dict] = {}
         for r in runs:
             if r["workload"] == workload:
-                pairs.setdefault(r["pair"], {})[r["side"]] = r["result"]
+                pairs.setdefault(r["pair"], {})[r["side"]] = r
         pairs = {k: v for k, v in pairs.items() if len(v) == 2}
         for metric in end_to_end:
             name = metric["name"]
             sign = 1.0 if metric["better"] == "higher" else -1.0
-            values = {side: [p[side]["metrics"][name]["value"]
+            values = {side: [p[side]["result"]["metrics"][name]["value"]
                              for p in pairs.values()]
                       for side in ("parent", "change")}
             if not values["parent"]:
@@ -88,6 +104,13 @@ def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
                 "change_beats_every_parent_run": all(
                     worst_change > sign * p for p in values["parent"]),
             }
+        for key in USAGE:
+            if pairs and all(key in r for p in pairs.values()
+                             for r in p.values()):
+                summary[f"{workload}.{key}"] = {
+                    f"{side}_median": statistics.median(
+                        p[side][key] for p in pairs.values())
+                    for side in ("parent", "change")}
     return summary
 
 
@@ -123,6 +146,10 @@ def report(doc: dict, n_pairs: int, claim: str | None) -> bool:
     not met."""
     ok = True
     for name, entry in doc["summary"].items():
+        if "bound" not in entry:  # a USAGE counter
+            print(f"{name:<28} parent {entry['parent_median']:.4g}  change "
+                  f"{entry['change_median']:.4g}")
+            continue
         v = verdict(entry, n_pairs)
         q1, median, q3 = entry["parent_q1_median_q3"]
         flags = {"within": [], "exceeded": ["REGRESSED"],
@@ -194,10 +221,9 @@ def main(argv=None) -> int:
             order = ("parent", "change") if k % 2 == 0 else \
                 ("change", "parent")
             for side in order:
-                result = run_once(trees[side], workload, args.seed + k,
-                                  seconds)
+                run = run_once(trees[side], workload, args.seed + k, seconds)
                 doc["pairs"].append(dict(workload=workload, pair=k,
-                                         side=side, result=result))
+                                         side=side, **run))
             doc["summary"] = summarize(doc["pairs"], contract["end_to_end"])
             args.out.write_text(json.dumps(doc, indent=1) + "\n")
     return 0 if report(doc, args.pairs, args.claim) else 1
