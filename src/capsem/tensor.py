@@ -384,14 +384,18 @@ def _parse_contract_spec(spec: str) -> tuple[str, str, str]:
 
 
 def _product(x: np.ndarray, x_spec: str, y: np.ndarray, y_spec: str,
-             out: str) -> np.ndarray:
+             out: str, into: np.ndarray | None = None) -> np.ndarray:
     """``np.einsum(f"{x_spec},{y_spec}->{out}", x, y)`` for a signature
     that :func:`contract` accepts, as one batched ``np.matmul``.
 
     Shared kept indexes form the batch, and each operand is laid out as
     (batch, M, K) or (batch, K, N), with M, K and N the products of its
     kept and summed extents; a group the signature lacks has extent 1.
-    The result is C-contiguous in ``out``'s order.
+    The result is C-contiguous in ``out``'s order: ``into``, if given,
+    else a new array. The matmul writes it in place through a transposed
+    view where that view reshapes to (batch, M, N) without a copy and its
+    rows have unit stride or length 1, as BLAS writes a fresh result;
+    else the product is copied in.
     """
     summed = [i for i in x_spec if i in y_spec and i not in out]
     x_kept = [i for i in out if i in x_spec and i not in y_spec]
@@ -405,13 +409,23 @@ def _product(x: np.ndarray, x_spec: str, y: np.ndarray, y_spec: str,
                            + [math.prod(extents[i] for i in rows),
                               math.prod(extents[i] for i in cols)])
 
-    prod = np.matmul(as_matrices(x, x_spec, x_kept, summed),
-                     as_matrices(y, y_spec, summed, y_kept))
+    def live(group):  # its indexes of extent > 1
+        return "".join(i for i in group if extents[i] != 1)
+
+    xm = as_matrices(x, x_spec, x_kept, summed)
+    ym = as_matrices(y, y_spec, summed, y_kept)
+    if into is None:
+        into = np.empty([extents[i] for i in out], np.result_type(x, y))
     order = batch + x_kept + y_kept
-    prod = prod.reshape([extents[i] for i in order])
-    # not ascontiguousarray: it turns a 0-d result into shape (1,)
-    return np.asarray(prod.transpose([order.index(i) for i in out]),
-                      order="C")
+    # M's axes adjacent in out's order and N's at its end: the view's M
+    # and N merge without a copy, and its rows are contiguous
+    if live(x_kept) in live(out) and live(out).endswith(live(y_kept)):
+        view = into.transpose([out.index(i) for i in order])
+        np.matmul(xm, ym, out=view.reshape(xm.shape[:-1] + ym.shape[-1:]))
+    else:
+        prod = np.matmul(xm, ym).reshape([extents[i] for i in order])
+        into[...] = prod.transpose([order.index(i) for i in out])
+    return into
 
 
 def contract(a, b, spec: str) -> Tensor:

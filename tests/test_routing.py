@@ -2,6 +2,8 @@ import dataclasses
 import functools
 import itertools
 import math
+import os
+import subprocess
 import sys
 import threading
 
@@ -1498,21 +1500,10 @@ def test_routes_between_forward_and_backward_change_no_gradient(mode):
         assert np.array_equal(got[name], value), name
 
 
-def test_threads_routing_different_inputs_get_the_serial_results():
-    # four threads, each routing its own input tracked and untracked in
-    # turn, with the interpreter switching threads as often as it can
-    cfg, p, out_bias, batches = _workspace_case("variable_output",
-                                                WORKSPACE_DTYPES["float64"])
-    caps = batches[1]
-    inputs = [CapsuleBatch(caps.scores[::-1] * 0.5 ** k,
-                           caps.poses[::-1] * 2.0 ** k) for k in range(4)]
-
-    def run(c):
-        return (_routed_arrays(route(p, c, cfg, out_bias=out_bias,
-                                     want_trace=True)),
-                _gradients_of_a_tracked_route(p, c, cfg, out_bias))
-
-    serial = [run(c) for c in inputs]
+def _agree_across_threads(run, inputs, serial):
+    """One thread per input ``run``s it four times, with the interpreter
+    switching threads as often as it can; every result must equal that
+    input's entry of ``serial``, dtype included."""
     results = [[] for _ in inputs]
 
     def work(k):
@@ -1536,4 +1527,150 @@ def test_threads_routing_different_inputs_get_the_serial_results():
         for got in runs:
             for want_part, got_part in zip(serial[k], got):
                 for name, value in want_part.items():
+                    assert got_part[name].dtype == value.dtype, (k, name)
                     assert np.array_equal(got_part[name], value), (k, name)
+
+
+def test_threads_routing_different_inputs_get_the_serial_results(
+        monkeypatch):
+    # four threads, each routing its own input tracked and untracked in
+    # turn; then each routing a larger input untracked, split into more
+    # parts than there are cores, against unsplit results
+    cfg, p, out_bias, batches = _workspace_case("variable_output",
+                                                WORKSPACE_DTYPES["float64"])
+    caps = batches[1]
+    inputs = [CapsuleBatch(caps.scores[::-1] * 0.5 ** k,
+                           caps.poses[::-1] * 2.0 ** k) for k in range(4)]
+
+    def run(c):
+        return (_routed_arrays(route(p, c, cfg, out_bias=out_bias,
+                                     want_trace=True)),
+                _gradients_of_a_tracked_route(p, c, cfg, out_bias))
+
+    _agree_across_threads(run, inputs, [run(c) for c in inputs])
+
+    wide = [CapsuleBatch(np.concatenate([c.scores, c.scores[::-1]]),
+                         np.concatenate([c.poses, c.poses[::-1]]))
+            for c in inputs]
+
+    def run_untracked(c):
+        return (_routed_arrays(route(p, c, cfg, out_bias=out_bias,
+                                     want_trace=True)),)
+
+    monkeypatch.setattr(R, "_cpu_count", lambda: 1)
+    serial = [run_untracked(c) for c in wide]
+    monkeypatch.setattr(R, "_cpu_count", lambda: 8)
+    assert 2 * len(caps.scores) // R.SPLIT_MIN > 2  # parts per route
+    _agree_across_threads(run_untracked, wide, serial)
+
+
+# ---------------------------------------------------------------------------
+# untracked routes split into per-CPU parts
+
+
+def _split_case(mode, dtype, batch):
+    """Config, params, out_bias and ``batch`` capsules at the desk
+    model's layer-0 shapes, all in ``dtype``."""
+    cfg, p, out_bias, _ = _workspace_case(mode, (dtype,) * 3)
+    caps = random_caps(np.random.default_rng(batch), cfg, batch=batch, n=10)
+    return cfg, p, out_bias, CapsuleBatch(
+        *(np.asarray(x, dtype=dtype) for x in (caps.scores, caps.poses)))
+
+
+def _part_sizes(monkeypatch):
+    """A list that gets the batch size of each part later routes run."""
+    sizes = []
+    real = R._iterate
+
+    def spy(params, caps, *args):
+        sizes.append(len(caps.scores))
+        return real(params, caps, *args)
+
+    monkeypatch.setattr(R, "_iterate", spy)
+    return sizes
+
+
+@pytest.mark.parametrize("dtype", ["f8", "f4"])
+@pytest.mark.parametrize("mode", R.MODES)
+def test_split_route_equals_the_unsplit_route_bit_for_bit(
+        monkeypatch, mode, dtype):
+    sizes = _part_sizes(monkeypatch)
+    for batch in (100, 101, 150):
+        cfg, p, out_bias, caps = _split_case(mode, dtype, batch)
+        for want_trace in (False, True):
+            kw = dict(out_bias=out_bias, want_trace=want_trace)
+            monkeypatch.setattr(R, "_cpu_count", lambda: 1)
+            want = _routed_arrays(route(p, caps, cfg, **kw))
+            for cpus in (2, 4):
+                monkeypatch.setattr(R, "_cpu_count", lambda: cpus)
+                sizes.clear()
+                threads = threading.active_count()
+                got = _routed_arrays(route(p, caps, cfg, **kw))
+                # every worker has been joined
+                assert threading.active_count() == threads
+                n = min(cpus, batch // R.SPLIT_MIN)
+                assert n >= 2 and sorted(sizes) == sorted(
+                    batch * (k + 1) // n - batch * k // n for k in range(n))
+                assert got.keys() == want.keys()
+                for name, value in want.items():
+                    where = (batch, want_trace, cpus, name)
+                    assert got[name].dtype == value.dtype == np.dtype(dtype)
+                    assert np.array_equal(got[name], value), where
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("scale, var_floor, match", [
+    (0.0, 0.0, "strictly positive"),  # zero variances, in an E-step
+    (1e200, 1e-8, "non-finite"),  # overflow, in the joined outputs
+])
+def test_an_error_in_a_later_part_propagates(monkeypatch, scale, var_floor,
+                                             match):
+    # the first part routes cleanly; the second part's capsules all give
+    # zero votes (zero poses, zero biases) or overflow once squared
+    cfg, p, _, caps = _split_case("variable_input", "f8", 2 * R.SPLIT_MIN)
+    cfg = dataclasses.replace(cfg, var_floor=var_floor)
+    p = dataclasses.replace(p, biases=np.zeros_like(p.biases))
+    poses = caps.poses.copy()
+    poses[R.SPLIT_MIN:] *= scale
+    bad = CapsuleBatch(caps.scores, poses)
+    first = CapsuleBatch(caps.scores[:R.SPLIT_MIN], poses[:R.SPLIT_MIN])
+    monkeypatch.setattr(R, "_cpu_count", lambda: 1)
+    assert np.all(np.isfinite(route(p, first, cfg).poses.data))
+    with pytest.raises(DomainError, match=match) as serial:
+        route(p, bad, cfg)
+    monkeypatch.setattr(R, "_cpu_count", lambda: 2)
+    sizes = _part_sizes(monkeypatch)
+    with pytest.raises(DomainError, match=match) as split:
+        route(p, bad, cfg)
+    assert sizes == [R.SPLIT_MIN, R.SPLIT_MIN]
+    assert str(split.value) == str(serial.value)
+
+
+@pytest.mark.parametrize("tracked", ["params", "scores", "poses", "out_bias",
+                                     None])
+def test_tracked_and_small_routes_start_no_thread(monkeypatch, tracked):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a thread pool was started")
+
+    monkeypatch.setattr(R, "ThreadPoolExecutor", refuse)
+    monkeypatch.setattr(R, "_cpu_count", lambda: 4)
+    batch = 2 * R.SPLIT_MIN - (tracked is None)
+    cfg, p, out_bias, caps = _split_case("variable_output", "f8", batch)
+    tape = T.Tape()
+    if tracked == "params":
+        p = p.tracked(tape)
+    elif tracked == "out_bias":
+        out_bias = tape.leaf(out_bias)
+    elif tracked is not None:
+        caps = CapsuleBatch(*(tape.leaf(x) if name == tracked else x
+                              for name, x in (("scores", caps.scores),
+                                              ("poses", caps.poses))))
+    out = route(p, caps, cfg, out_bias=out_bias)
+    assert (out.scores.tape is None) == (tracked is None)
+
+
+def test_importing_capsem_starts_no_thread():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(R.__file__)))
+    code = "import threading, capsem.cli; assert threading.active_count() == 1"
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=120,
+                   env={**os.environ, "PYTHONPATH": src})

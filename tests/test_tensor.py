@@ -640,6 +640,64 @@ def test_contract_matches_einsum_when_output_ends_in_row_and_column():
         checked += 1
 
 
+def _in_matmul_order(spec):
+    """The output of ``spec`` with its indexes in ``_product``'s matmul
+    order: batch, then kept on the left only, then on the right only."""
+    lhs, out = spec.split("->")
+    a, b = lhs.split(",")
+    return ("".join(i for i in out if i in a and i in b)
+            + "".join(i for i in out if i in a and i not in b)
+            + "".join(i for i in out if i in b and i not in a))
+
+
+@pytest.mark.parametrize("dtype", ["f8", "f4"])
+@pytest.mark.parametrize("spec, extents", [
+    ("bijch,bjch->bij", dict(b=50, i=10, j=32, c=4, h=4)),
+    ("bijch,bjch->bij", dict(b=50, i=32, j=5, c=4, h=4)),
+    ("bijch,bjch->bij", dict(b=8, i=64, j=16, c=4, h=4)),
+    ("bijch,bjch->bij", dict(b=8, i=1, j=16, c=4, h=4)),
+    ("bijch,bicd->jdh", dict(b=8, i=10, j=6, c=4, h=3, d=2)),
+    ("bijch,ijdh->bicd", dict(b=8, i=10, j=6, c=4, h=3, d=2)),
+    ("ij,jk->ki", dict(i=5, j=7, k=3)),
+    ("abc,cd->bda", dict(a=3, b=1, c=4, d=5)),
+    ("ij,ij->", dict(i=5, j=7)),
+])
+def test_product_in_any_order_equals_the_matmul_order_transposed(
+        spec, extents, dtype):
+    # whether the matmul writes straight into the result through a
+    # transposed view or its product is copied in, every bit and the
+    # dtype match the product in matmul order, transposed; ``into`` is
+    # filled and returned
+    rng = np.random.default_rng(36)
+    (a_spec, b_spec), out = spec.split("->")[0].split(","), spec.split("->")[1]
+    a, b = (rng.normal(size=[extents[i] for i in s]).astype(dtype)
+            for s in (a_spec, b_spec))
+    order = _in_matmul_order(spec)
+    want = np.asarray(T._product(a, a_spec, b, b_spec, order)
+                      .transpose([order.index(i) for i in out]), order="C")
+    got = T._product(a, a_spec, b, b_spec, out)
+    assert got.dtype == want.dtype == np.dtype(dtype)
+    assert got.flags.c_contiguous and np.array_equal(got, want)
+    into = np.empty_like(want)
+    assert T._product(a, a_spec, b, b_spec, out, into=into) is into
+    assert np.array_equal(into, want)
+
+
+def test_product_allocates_its_result_once():
+    # the E-step's bijch,bjch->bij at desk layer-0 shapes: the matmul
+    # writes through a transposed view, so no second result-sized copy
+    rng = np.random.default_rng(37)
+    sq = rng.random((50, 10, 32, 4, 4))
+    w = rng.random((50, 32, 4, 4))
+    tracemalloc.start()
+    try:
+        res = T._product(sq, "bijch", w, "bjch", "bij")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * res.nbytes
+
+
 @pytest.mark.parametrize("spec", ["bicd,jdh->bijch", "bij,bijch->bjch"])
 def test_contract_keeps_float32(spec):
     rng = np.random.default_rng(34)
