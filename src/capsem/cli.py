@@ -52,9 +52,8 @@ def _take_section(config: dict, name: str, known: set[str]) -> dict:
 
 
 def cmd_gen_data(args) -> int:
-    spec = ConstellationSpec()
-    if args.spec:
-        spec = spec_from_dict(read_json(args.spec))
+    spec = spec_from_dict(read_json(args.spec)) if args.spec \
+        else ConstellationSpec()
     # the seed picks a window of 10000 samples of the task, not the task
     batch, labels = make_dataset(spec, args.n, start=10_000 * args.seed)
     write_capsules(args.out, batch, labels)
@@ -105,8 +104,7 @@ def cmd_train(args) -> int:
             raise ConfigError("train_samples and test_samples must be ints >= 0")
         train_caps, train_labels = make_dataset(spec, n_train)
         val_caps, val_labels = make_dataset(spec, n_test, start=n_train)
-        d_cov, d_in = spec.d_cov, spec.d_in
-        n_classes = spec.n_classes
+        d_cov, d_in, n_classes = spec.d_cov, spec.d_in, spec.n_classes
     else:
         if "train" not in data_cfg:
             raise ConfigError("capsfile task needs config data.train")
@@ -173,8 +171,9 @@ def cmd_route(args) -> int:
         print(f"numeric failure: {e}", file=sys.stderr)
         return 3
     print("sample," + ",".join(f"p{k}" for k in range(n_classes)))
-    for i, row in enumerate(probs):
-        print(f"{i}," + ",".join(f"{p:.6f}" for p in row))
+    row_format = "%d," + ",".join(["%.6f"] * n_classes)
+    for i, row in enumerate(probs.tolist()):
+        print(row_format % (i, *row))
     if labels is not None and len(labels):
         acc = float((probs.argmax(axis=1) == labels).mean())
         print(f"accuracy,{acc:.4f}")

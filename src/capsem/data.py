@@ -22,7 +22,6 @@ import struct
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from . import tensor as T
 from .errors import (ConfigError, DataFormatError, DomainError,
@@ -82,87 +81,90 @@ def spec_from_dict(d: dict) -> ConstellationSpec:
     return ConstellationSpec(**d)
 
 
-def similarity_matrix(theta: float, scale: float, tx: float,
-                      ty: float) -> np.ndarray:
-    """Homogeneous 3x3 planar similarity transform."""
+def similarity_matrix(theta, scale, tx, ty) -> np.ndarray:
+    """Homogeneous 3x3 planar similarity transform; array arguments
+    broadcast to a (..., 3, 3) stack of them."""
     c, s = np.cos(theta), np.sin(theta)
-    return np.array([
-        [scale * c, -scale * s, tx],
-        [scale * s, scale * c, ty],
-        [0.0, 0.0, 1.0],
-    ])
+    out = np.zeros(np.broadcast(theta, scale, tx, ty).shape + (3, 3))
+    out[..., 0, 0] = out[..., 1, 1] = scale * c
+    out[..., 0, 1] = -scale * s
+    out[..., 1, 0] = scale * s
+    out[..., 0, 2], out[..., 1, 2], out[..., 2, 2] = tx, ty, 1.0
+    return out
 
 
-def _random_similarity(rng, scale_range, trans_range) -> np.ndarray:
-    return similarity_matrix(
-        theta=rng.uniform(0.0, 2.0 * np.pi),
-        scale=rng.uniform(*scale_range),
-        tx=rng.uniform(-trans_range, trans_range),
-        ty=rng.uniform(-trans_range, trans_range),
-    )
-
-
-def embed_pose(mat3: np.ndarray, d_cov: int, d_in: int) -> np.ndarray:
-    """Place a 3x3 homogeneous transform in the top-left of a d_cov x d_in
-    slot whose remaining diagonal is identity."""
-    slot = np.eye(d_cov, d_in)
-    slot[:3, :3] = mat3
-    return slot
+def _similarities(r: np.ndarray, scale_range, trans: float) -> np.ndarray:
+    """Similarity transforms from uniforms ``r`` of shape (..., 4): angle
+    in [0, 2 pi), scale in ``scale_range`` and translations in [-trans,
+    trans), each scaled as ``Generator.uniform`` scales, lo + (hi - lo) r."""
+    lo, hi = np.array([[0.0, scale_range[0], -trans, -trans],
+                       [2.0 * np.pi, scale_range[1], trans, trans]])
+    return similarity_matrix(*np.moveaxis(lo + (hi - lo) * r, -1, 0))
 
 
 def class_templates(spec: ConstellationSpec) -> np.ndarray:
     """Per-class part offsets, shape (n_classes, parts_per_class, 3, 3).
     Fixed by the spec seed, independent of the sample index."""
     rng = np.random.default_rng([spec.seed, 0])
-    return np.array([
-        [_random_similarity(rng, (0.5, 1.5), 1.0)
-         for _ in range(spec.parts_per_class)]
-        for _ in range(spec.n_classes)
-    ])
+    return _similarities(
+        rng.random((spec.n_classes, spec.parts_per_class, 4)), (0.5, 1.5), 1.0)
+
+
+# samples per make_dataset call in gen_constellation: its memory bound
+_BLOCK = 256
 
 
 def gen_constellation(spec: ConstellationSpec, n_samples: int, start: int = 0):
     """Yield ``n_samples`` labeled samples as (scores, poses, label).
 
-    Pure in (spec, sample index): regenerating any index range gives
-    identical samples, so parallel generation by range is deterministic.
+    Pure in (spec, sample index), so generation by range is deterministic.
+    Sample ``index`` draws from ``default_rng([spec.seed, 1, index])``, in
+    order: ``integers(n_classes)``, the label; ``random(4)``, the entity
+    pose; ``normal(0, jitter_std, (parts_per_class, d_cov, d_in))``, only
+    if ``jitter_std > 0``; ``random((n_distractors, 4))``, the distractor
+    poses; ``permutation(caps_per_sample)``, the capsule order. Rows come
+    from :func:`make_dataset` blocks of ``_BLOCK`` samples.
     """
-    templates = class_templates(spec)
-    for index in range(start, start + n_samples):
-        rng = np.random.default_rng([spec.seed, 1, index])
-        label = int(rng.integers(spec.n_classes))
-        entity = _random_similarity(rng, (0.8, 1.25), 2.0)
-
-        poses = np.empty((spec.caps_per_sample, spec.d_cov, spec.d_in))
-        scores = np.empty(spec.caps_per_sample)
-        for p in range(spec.parts_per_class):
-            slot = embed_pose(entity @ templates[label, p],
-                              spec.d_cov, spec.d_in)
-            if spec.jitter_std > 0:
-                slot = slot + rng.normal(0.0, spec.jitter_std, size=slot.shape)
-            poses[p] = slot
-            scores[p] = spec.score_present
-        for q in range(spec.n_distractors):
-            poses[spec.parts_per_class + q] = embed_pose(
-                _random_similarity(rng, (0.4, 1.9), 3.5),
-                spec.d_cov, spec.d_in)
-            scores[spec.parts_per_class + q] = spec.score_distractor
-
-        order = rng.permutation(spec.caps_per_sample)
-        yield scores[order], poses[order], label
+    for lo in range(start, start + n_samples, _BLOCK):
+        batch, labels = make_dataset(spec, min(_BLOCK, start + n_samples - lo),
+                                     lo)
+        for k, label in enumerate(labels.tolist()):
+            yield batch.scores[k], batch.poses[k], label
 
 
 def make_dataset(spec: ConstellationSpec, n_samples: int,
                  start: int = 0) -> tuple[CapsuleBatch, np.ndarray]:
-    """Stack a generated range into one float64 batch plus its labels."""
+    """Samples ``start`` to ``start + n_samples`` as one float64 batch and
+    int64 labels. Sample ``index`` seeds ``default_rng([spec.seed, 1,
+    index])`` and makes the five draws :func:`gen_constellation` lists, in
+    that order; the arithmetic then runs on the whole batch. A part's pose
+    is the entity pose times the label's part template, in the top-left of
+    an identity d_cov x d_in slot, plus jitter over the whole slot."""
     if n_samples < 0:
         raise ConfigError(f"sample count must be >= 0, got {n_samples}")
-    shape = (n_samples, spec.caps_per_sample, spec.d_cov, spec.d_in)
-    scores, poses = np.empty(shape[:2]), np.empty(shape)
-    labels = np.empty(n_samples, dtype=np.int64)
-    for k, sample in enumerate(gen_constellation(spec, n_samples, start)):
-        scores[k], poses[k], labels[k] = sample
-    return CapsuleBatch(clamp_scores(scores), poses), labels
+    n, parts, caps = n_samples, spec.parts_per_class, spec.caps_per_sample
+    labels, order = np.empty(n, np.int64), np.empty((n, caps), np.int64)
+    entity, distractors = np.empty((n, 4)), np.empty((n, caps - parts, 4))
+    jitter = (np.empty((n, parts, spec.d_cov, spec.d_in))
+              if spec.jitter_std > 0 else None)
+    for k in range(n):
+        rng = np.random.default_rng([spec.seed, 1, start + k])
+        labels[k] = rng.integers(spec.n_classes)
+        entity[k] = rng.random(4)
+        if jitter is not None:
+            jitter[k] = rng.normal(0.0, spec.jitter_std, jitter.shape[1:])
+        distractors[k] = rng.random(distractors.shape[1:])
+        order[k] = rng.permutation(caps)
+    poses = np.tile(np.eye(spec.d_cov, spec.d_in), (n, caps, 1, 1))
+    poses[:, :parts, :3, :3] = (_similarities(entity, (0.8, 1.25), 2.0)[:, None]
+                                @ class_templates(spec)[labels])
+    poses[:, parts:, :3, :3] = _similarities(distractors, (0.4, 1.9), 3.5)
+    if jitter is not None:
+        poses[:, :parts] += jitter
+    scores = np.where(order < parts, float(spec.score_present),
+                      float(spec.score_distractor))
+    return (CapsuleBatch(clamp_scores(scores),
+                         poses[np.arange(n)[:, None], order]), labels)
 
 
 def _check_labels(labels: np.ndarray, stop: int, name: str) -> None:
@@ -195,6 +197,7 @@ def nearest_template_classify(spec: ConstellationSpec, scores: np.ndarray,
     as an independent separability witness: at zero jitter the true class
     has exactly zero cost.
     """
+    from scipy.optimize import linear_sum_assignment  # off the CLI's path
     if spec.score_present <= spec.score_distractor:
         raise ConfigError("oracle needs score_present > score_distractor")
     threshold = 0.5 * (spec.score_present + spec.score_distractor)
@@ -222,12 +225,9 @@ def nearest_template_classify(spec: ConstellationSpec, scores: np.ndarray,
 
 def oracle_accuracy(spec: ConstellationSpec, batch: CapsuleBatch,
                     labels: np.ndarray) -> float:
-    scores = T.asarray(batch.scores)
-    poses = T.asarray(batch.poses)
-    hits = sum(
-        nearest_template_classify(spec, scores[i], poses[i]) == labels[i]
-        for i in range(len(labels))
-    )
+    scores, poses = T.asarray(batch.scores), T.asarray(batch.poses)
+    hits = sum(nearest_template_classify(spec, scores[i], poses[i]) == y
+               for i, y in enumerate(labels))
     return hits / max(len(labels), 1)
 
 

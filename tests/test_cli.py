@@ -1,9 +1,11 @@
 import csv
 import json
+import os
 import struct
 import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -359,6 +361,50 @@ def test_route_empty_file_prints_only_header(tmp_path, capsys):
     capsys.readouterr()
     assert main(["route", "--model", str(model), "--input", str(empty)]) == 0
     assert capsys.readouterr().out.splitlines() == ["sample,p0,p1,p2"]
+
+
+def test_route_rows_print_six_places_at_the_edges(tmp_path, capsys,
+                                                  monkeypatch):
+    # values at 0, 1 and the rounding midpoints print as an f-string per
+    # value would print them
+    from capsem.classifier import CapsuleClassifier
+    from capsem.data import write_capsules
+    probs = np.array([[0.0, 1.0, 5e-7], [0.9999995, 1.5e-6, 2.5e-6],
+                      [1e-300, 0.1234565, 0.5]])
+    monkeypatch.setattr(CapsuleClassifier, "predict_proba",
+                        lambda self, caps: probs)
+    model, data = tmp_path / "m.model", tmp_path / "d.caps"
+    write_model(model, build_constellation_classifier(4, 4, 3).layers, 3)
+    write_capsules(data, *make_dataset(ConstellationSpec(n_classes=3), 3))
+    capsys.readouterr()
+    assert main(["route", "--model", str(model), "--input", str(data)]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:4]
+    assert rows == ["0,0.000000,1.000000,0.000000",
+                    "1,1.000000,0.000002,0.000003",
+                    "2,0.000000,0.123456,0.500000"]
+    assert rows == [f"{i}," + ",".join(f"{p:.6f}" for p in row)
+                    for i, row in enumerate(probs)]
+
+
+def test_cli_import_path_leaves_out_scipy_optimize(tmp_path):
+    # only the nearest-template oracle needs scipy.optimize; neither
+    # importing the CLI nor routing a file may import it
+    from capsem.data import write_capsules
+    model, data = tmp_path / "m.model", tmp_path / "d.caps"
+    write_model(model, build_constellation_classifier(4, 4, 5).layers, 5)
+    write_capsules(data, *make_dataset(ConstellationSpec(), 3))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = (
+        "import sys, capsem.cli\n"
+        "assert 'scipy.optimize' not in sys.modules, 'import'\n"
+        f"assert capsem.cli.main(['route', '--model', {str(model)!r}, "
+        f"'--input', {str(data)!r}]) == 0\n"
+        "assert 'scipy.optimize' not in sys.modules, 'route'\n")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                            text=True, timeout=120,
+                            env={**os.environ, "PYTHONPATH": src})
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith("sample,p0,")
 
 
 @pytest.mark.parametrize("text", [

@@ -1,6 +1,7 @@
 import json
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,108 @@ from capsem.routing import (LOGIT_MAX, CapsuleBatch, RoutingConfig,
 
 # ---------------------------------------------------------------------------
 # constellation generation
+
+
+def _reference_similarity(rng, scale_range, trans):
+    theta = rng.uniform(0.0, 2.0 * np.pi)
+    scale = rng.uniform(*scale_range)
+    tx, ty = rng.uniform(-trans, trans), rng.uniform(-trans, trans)
+    c, s = np.cos(theta), np.sin(theta)
+    return np.array([[scale * c, -scale * s, tx], [scale * s, scale * c, ty],
+                     [0.0, 0.0, 1.0]])
+
+
+def constellation_reference(spec, n_samples, start=0):
+    """The constellation generator as a scalar loop, the oracle the block
+    generator must match byte for byte: per capsule one similarity, one
+    identity slot and one jitter draw, each uniform drawn on its own."""
+    rng = np.random.default_rng([spec.seed, 0])
+    templates = np.array([[_reference_similarity(rng, (0.5, 1.5), 1.0)
+                           for _ in range(spec.parts_per_class)]
+                          for _ in range(spec.n_classes)])
+    for index in range(start, start + n_samples):
+        rng = np.random.default_rng([spec.seed, 1, index])
+        label = int(rng.integers(spec.n_classes))
+        entity = _reference_similarity(rng, (0.8, 1.25), 2.0)
+        poses = np.empty((spec.caps_per_sample, spec.d_cov, spec.d_in))
+        scores = np.empty(spec.caps_per_sample)
+        for p in range(spec.parts_per_class):
+            slot = np.eye(spec.d_cov, spec.d_in)
+            slot[:3, :3] = entity @ templates[label, p]
+            if spec.jitter_std > 0:
+                slot = slot + rng.normal(0.0, spec.jitter_std, size=slot.shape)
+            poses[p], scores[p] = slot, spec.score_present
+        for q in range(spec.parts_per_class, spec.caps_per_sample):
+            poses[q] = np.eye(spec.d_cov, spec.d_in)
+            poses[q, :3, :3] = _reference_similarity(rng, (0.4, 1.9), 3.5)
+            scores[q] = spec.score_distractor
+        order = rng.permutation(spec.caps_per_sample)
+        yield scores[order], poses[order], label
+
+
+REFERENCE_SPECS = {
+    "default": D.ConstellationSpec(),
+    "no_jitter": D.ConstellationSpec(jitter_std=0.0),
+    "no_distractors": D.ConstellationSpec(n_distractors=0),
+    "d_cov3_d_in5": D.ConstellationSpec(d_cov=3, d_in=5),
+    "3x2_d_cov5_d_in3": D.ConstellationSpec(
+        n_classes=3, parts_per_class=2, d_cov=5, d_in=3, n_distractors=7,
+        seed=4),
+    "int_scores": D.ConstellationSpec(score_present=3, score_distractor=-1),
+}
+
+
+def _assert_same_bytes(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n,start", [(0, 0), (1, 0), (1, 12345), (37, 0),
+                                     (37, 12345)])
+@pytest.mark.parametrize("name", sorted(REFERENCE_SPECS))
+def test_make_dataset_matches_scalar_reference(name, n, start):
+    spec = REFERENCE_SPECS[name]
+    batch, labels = D.make_dataset(spec, n, start=start)
+    want = list(constellation_reference(spec, n, start))
+    shape = (n, spec.caps_per_sample)
+    _assert_same_bytes(batch.scores, np.array(
+        [s for s, _, _ in want], dtype=np.float64).reshape(shape))
+    _assert_same_bytes(batch.poses, np.array(
+        [p for _, p, _ in want], dtype=np.float64).reshape(
+            shape + (spec.d_cov, spec.d_in)))
+    _assert_same_bytes(labels, np.array([y for _, _, y in want], np.int64))
+
+
+@pytest.mark.parametrize("n,start", [(0, 0), (1, 12345),
+                                     (D._BLOCK + 3, 0),
+                                     (2 * D._BLOCK + 1, 12345 - D._BLOCK // 2)])
+@pytest.mark.parametrize("name", sorted(REFERENCE_SPECS))
+def test_gen_constellation_matches_scalar_reference(name, n, start):
+    spec = REFERENCE_SPECS[name]
+    got = list(D.gen_constellation(spec, n, start))
+    want = list(constellation_reference(spec, n, start))
+    assert len(got) == len(want) == n
+    for (scores, poses, label), (ws, wp, wl) in zip(got, want):
+        _assert_same_bytes(scores, ws)
+        _assert_same_bytes(poses, wp)
+        assert type(label) is int and label == wl
+
+
+def test_gen_constellation_streams_in_bounded_blocks():
+    # the first row of a huge range costs a few blocks, not the range
+    spec = D.ConstellationSpec()
+    block_mb = D._BLOCK * spec.caps_per_sample * spec.d_cov * spec.d_in * 8 / 1e6
+    tracemalloc.start()
+    try:
+        scores, poses, label = next(D.gen_constellation(spec, 10 ** 7))
+        peak = tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+    want_scores, want_poses, want_label = next(constellation_reference(spec, 1))
+    _assert_same_bytes(scores, want_scores)
+    _assert_same_bytes(poses, want_poses)
+    assert label == want_label
+    assert peak < 5 * block_mb, f"peak {peak:.2f} MB for one row"
 
 
 def test_noiseless_task_is_perfectly_separable():
