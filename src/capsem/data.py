@@ -10,12 +10,13 @@ mixed in at a lower score, and the capsule order is shuffled.
 
 The file container ("CAPS") stores capsule batches, routing parameters,
 or whole models, as little-endian row-major payloads behind a fixed
-header; a JSON twin exists for small, human-readable files. See
-docs/capsule_file_format.md for the byte-level layout.
+header; batches and layer params also have a JSON twin, for small,
+human-readable files. See docs/capsule_file_format.md for the layout.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import struct
@@ -277,12 +278,33 @@ _CODES_BY_KIND = {np.dtype(np.float64): 1, np.dtype(np.float32): 2}
 _LAYER_RECORD = "<BB5I I dd"
 
 
-class _Reader:
-    """Byte cursor that reports the offset of any truncation."""
+def _read_bytes(path) -> bytes:
+    """The bytes of the file at ``path``. Every reader reads through here,
+    so a test can hand the readers bytes without a file."""
+    with open(path, "rb") as f:
+        return f.read()
 
-    def __init__(self, blob: bytes):
-        self.blob = blob
-        self.offset = 0
+
+class _Reader:
+    """Byte cursor over a binary file of ``kind``, past its checked
+    header; reports the offset of any truncation."""
+
+    def __init__(self, blob: bytes, kind: int):
+        self.blob, self.offset = blob, 0
+        magic = self.take(4)
+        if magic != MAGIC:
+            raise DataFormatError(f"bad magic {magic!r}, expected {MAGIC!r}")
+        version, found, code = self.unpack("<HBB")
+        if version != FORMAT_VERSION:
+            raise FormatVersionError(
+                f"unsupported format version {version}, this reader handles "
+                f"{FORMAT_VERSION}"
+            )
+        if code not in _DTYPE_CODES:
+            raise DataFormatError(f"unknown dtype code {code}")
+        if found != kind:
+            raise DataFormatError(f"expected kind {kind}, found {found}")
+        self.dtype = _DTYPE_CODES[code]
 
     def take(self, n: int) -> bytes:
         if self.offset + n > len(self.blob):
@@ -297,9 +319,14 @@ class _Reader:
     def unpack(self, fmt: str):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
-    def floats(self, dtype: np.dtype, count: int) -> np.ndarray:
-        raw = self.take(count * dtype.itemsize)
-        return np.frombuffer(raw, dtype=dtype).astype(dtype.newbyteorder("="))
+    def array(self, shape, dtype=None) -> np.ndarray:
+        """The next array of ``shape``, stored in ``dtype`` (the header's
+        by default), in native byte order."""
+        dtype = self.dtype if dtype is None else np.dtype(dtype)
+        # math.prod: header dims are untrusted and np.prod would overflow
+        raw = self.take(math.prod(shape) * dtype.itemsize)
+        return np.frombuffer(raw, dtype).astype(
+            dtype.newbyteorder("=")).reshape(shape)
 
     def done(self):
         if self.offset != len(self.blob):
@@ -309,43 +336,22 @@ class _Reader:
             )
 
 
-def _dtype_code(arrays) -> int:
-    """The dtype code of a file storing ``arrays``: float64 if any of them
-    is float64, by the tensor module's dtype rule, else float32."""
-    dtypes = {np.dtype(arr.dtype.type) for arr in arrays}
+def _write_file(path, kind: int, *parts) -> None:
+    """Write a binary file of ``kind``: the header, then ``parts``, each
+    bytes or an array. The arrays are stored in the header's one dtype:
+    float64 if any of them is float64, by the tensor module's dtype rule,
+    else float32."""
+    dtypes = {np.dtype(part.dtype.type) for part in parts
+              if not isinstance(part, bytes)}
     unsupported = dtypes - _CODES_BY_KIND.keys()
     if unsupported:
         raise DataFormatError(f"unsupported dtype {unsupported.pop()}")
-    return _CODES_BY_KIND[np.result_type(*dtypes)]
-
-
-def _write_file(path, kind: int, code: int, *parts: bytes) -> None:
-    """Write a binary file of ``kind``: the header naming dtype ``code``,
-    then ``parts``."""
+    code = _CODES_BY_KIND[np.result_type(*dtypes)]
     with open(path, "wb") as f:
         f.write(MAGIC + struct.pack("<HBB", FORMAT_VERSION, kind, code))
-        f.writelines(parts)
-
-
-def _read_file(path, kind: int) -> tuple[_Reader, np.dtype]:
-    """A reader past the header of the binary file of ``kind`` at
-    ``path``, and the dtype the header names."""
-    with open(path, "rb") as f:
-        r = _Reader(f.read())
-    magic = r.take(4)
-    if magic != MAGIC:
-        raise DataFormatError(f"bad magic {magic!r}, expected {MAGIC!r}")
-    version, found, dtype_code = r.unpack("<HBB")
-    if version != FORMAT_VERSION:
-        raise FormatVersionError(
-            f"unsupported format version {version}, this reader handles "
-            f"{FORMAT_VERSION}"
-        )
-    if dtype_code not in _DTYPE_CODES:
-        raise DataFormatError(f"unknown dtype code {dtype_code}")
-    if found != kind:
-        raise DataFormatError(f"expected kind {kind}, found {found}")
-    return r, _DTYPE_CODES[dtype_code]
+        f.writelines(part if isinstance(part, bytes)
+                     else part.astype(_DTYPE_CODES[code]).tobytes()
+                     for part in parts)
 
 
 def _write_json(path, kind: str, fields: dict) -> None:
@@ -361,64 +367,63 @@ def write_capsules(path, batch: CapsuleBatch, labels=None) -> None:
     path ends in .json). ``labels``, if given, hold one non-negative
     integer below 2**32 per sample: ShapeError or DomainError otherwise,
     before any file is opened."""
+    scores, poses = T.asarray(batch.scores), T.asarray(batch.poses)
     if labels is not None:
         labels = np.asarray(labels)
-        b = T.asarray(batch.poses).shape[0]
-        if labels.shape != (b,):
-            raise ShapeError(f"labels must have shape ({b},), got {labels.shape}")
+        if labels.shape != poses.shape[:1]:
+            raise ShapeError(f"labels must have shape ({len(poses)},), got "
+                             f"{labels.shape}")
         _check_labels(labels, 2 ** 32, "2**32")
-    if str(path).endswith(".json"):
-        _write_capsules_json(path, batch, labels)
+    if not str(path).endswith(".json"):
+        _write_file(path, _KIND_BATCH,
+                    struct.pack("<B4I", labels is not None, *poses.shape),
+                    scores, poses, *([] if labels is None
+                                     else [labels.astype("<u4").tobytes()]))
         return
-    scores = np.ascontiguousarray(T.asarray(batch.scores))
-    poses = np.ascontiguousarray(T.asarray(batch.poses))
-    b, n, d_cov, d_in = poses.shape
-    code = _dtype_code((scores, poses))
-    le = _DTYPE_CODES[code]
-    parts = [struct.pack("<B4I", labels is not None, b, n, d_cov, d_in),
-             scores.astype(le).tobytes(), poses.astype(le).tobytes()]
-    if labels is not None:
-        parts.append(labels.astype("<u4").tobytes())
-    _write_file(path, _KIND_BATCH, code, *parts)
-
-
-def read_capsules(path) -> tuple[CapsuleBatch, np.ndarray | None]:
-    """Read a capsule batch; returns (batch, labels-or-None)."""
-    if str(path).endswith(".json"):
-        return _read_capsules_json(path)
-    r, dtype = _read_file(path, _KIND_BATCH)
-    flags, b, n, d_cov, d_in = r.unpack("<B4I")
-    if flags & ~1:
-        raise DataFormatError(f"batch flags byte {flags:#04x} is undefined")
-    scores = r.floats(dtype, b * n).reshape(b, n)
-    poses = r.floats(dtype, b * n * d_cov * d_in).reshape(b, n, d_cov, d_in)
-    labels = None
-    if flags & 1:
-        raw = r.take(b * 4)
-        labels = np.frombuffer(raw, dtype="<u4").astype(np.int64)
-    r.done()
-    return _stored_batch(scores, poses), labels
-
-
-def _write_capsules_json(path, batch, labels) -> None:
-    if T.asarray(batch.poses).shape[0] == 0:
+    if len(poses) == 0:
         raise ShapeError("a caps-json file cannot hold zero samples: its "
                          "nested lists would not record n, d_cov or d_in")
-    fields = {"scores": T.asarray(batch.scores).tolist(),
-              "poses": T.asarray(batch.poses).tolist()}
+    fields = {"scores": scores.tolist(), "poses": poses.tolist()}
     if labels is not None:
         fields["labels"] = labels.tolist()
     _write_json(path, "capsule_batch", fields)
 
 
+def read_capsules(path) -> tuple[CapsuleBatch, np.ndarray | None]:
+    """Read a capsule batch; returns (batch, labels-or-None)."""
+    if str(path).endswith(".json"):
+        doc = _load_caps_json(path, "capsule_batch")
+        _check_keys(doc, ("scores", "poses", "labels"))
+        batch = _stored_batch(_json_array(doc, "scores"),
+                              _json_array(doc, "poses"))
+        labels = None
+        if "labels" in doc:
+            if not (isinstance(doc["labels"], list)
+                    and all(is_count(v, 0) for v in doc["labels"])):
+                raise DataFormatError("'labels' must be non-negative integers")
+            # a label per stored sample: an unbatched sample is a batch of one
+            labels = _json_array(doc, "labels", batch.scores.shape[:1],
+                                 np.int64)
+        return batch, labels
+    r = _Reader(_read_bytes(path), _KIND_BATCH)
+    flags, *dims = r.unpack("<B4I")
+    if flags & ~1:
+        raise DataFormatError(f"batch flags byte {flags:#04x} is undefined")
+    scores, poses = r.array(dims[:2]), r.array(dims)
+    labels = r.array(dims[:1], "<u4").astype(np.int64) if flags & 1 else None
+    r.done()
+    return _stored_batch(scores, poses), labels
+
+
 def read_json(path):
     """The JSON document at ``path``; DataFormatError if it does not decode."""
-    with open(path, encoding="utf-8") as f:
-        try:
-            return json.load(f)
-        except (ValueError, RecursionError) as e:
-            # undecodable text, invalid JSON, or nesting too deep to decode
-            raise DataFormatError(f"{path}: invalid JSON ({e})") from None
+    # decoded as open(path, encoding="utf-8") decodes, newlines included
+    text = io.TextIOWrapper(io.BytesIO(_read_bytes(path)), encoding="utf-8")
+    try:
+        return json.load(text)
+    except (ValueError, RecursionError) as e:
+        # undecodable text, invalid JSON, or nesting too deep to decode
+        raise DataFormatError(f"{path}: invalid JSON ({e})") from None
 
 
 def _load_caps_json(path, kind: str) -> dict:
@@ -433,15 +438,17 @@ def _load_caps_json(path, kind: str) -> dict:
     return doc
 
 
-# the keys every caps-json document starts with, as _write_json writes them
-_JSON_HEAD = ("format", "version", "kind")
-
-
-def _check_keys(doc: dict, known, what: str) -> None:
-    """DataFormatError naming any key of ``doc`` outside ``known``."""
-    unknown = set(doc) - set(known)
-    if unknown:
-        raise DataFormatError(f"unknown {what} keys: {sorted(unknown)}")
+def _check_keys(doc: dict, known) -> None:
+    """DataFormatError naming any key of the caps-json ``doc`` outside its
+    three header keys and ``known``, or of its 'dims' outside the five
+    dims of a layer record."""
+    kind = doc["kind"]
+    for part, allowed, what in (
+            (doc, {"format", "version", "kind", *known}, kind),
+            (doc.get("dims", {}), _META_LAYOUT["dims"], f"{kind} 'dims'")):
+        unknown = set(part) - set(allowed)
+        if unknown:
+            raise DataFormatError(f"unknown {what} keys: {sorted(unknown)}")
 
 
 def _json_array(doc: dict, name: str, shape: tuple | None = None,
@@ -465,22 +472,6 @@ def _stored_batch(scores, poses) -> CapsuleBatch:
         return CapsuleBatch(scores, poses)
     except (ShapeError, DomainError) as e:
         raise DataFormatError(f"capsule_batch: {e}") from None
-
-
-def _read_capsules_json(path):
-    doc = _load_caps_json(path, "capsule_batch")
-    _check_keys(doc, _JSON_HEAD + ("scores", "poses", "labels"),
-                "capsule_batch")
-    batch = _stored_batch(_json_array(doc, "scores"),
-                          _json_array(doc, "poses"))
-    labels = None
-    if "labels" in doc:
-        if not (isinstance(doc["labels"], list)
-                and all(is_count(v, 0) for v in doc["labels"])):
-            raise DataFormatError("'labels' must be non-negative integers")
-        # one label per stored sample: an unbatched sample is a batch of one
-        labels = _json_array(doc, "labels", batch.scores.shape[:1], np.int64)
-    return batch, labels
 
 
 def _layer_meta(config: RoutingConfig) -> dict:
@@ -541,19 +532,16 @@ def _stored_arrays(params: RoutingParams,
     return {name: T.asarray(value) for name, value in params.items()}
 
 
-def _layer_record(config: RoutingConfig, arrays: dict[str, np.ndarray],
-                  le: np.dtype) -> bytes:
-    """The layer record of ``config`` holding ``arrays``, the result of
-    :func:`_stored_arrays`, in dtype ``le``."""
+def _layer_record(params: RoutingParams, config: RoutingConfig) -> list:
+    """The layer record of ``params`` under ``config``, as parts for
+    :func:`_write_file`: its metadata, then its arrays."""
+    arrays = _stored_arrays(params, config)
     mode, tie, dims, *knobs = _layer_meta(config).values()
-    return b"".join([
-        struct.pack(_LAYER_RECORD, MODES.index(mode), tie, *dims.values(),
-                    *knobs),
-        *(np.ascontiguousarray(a).astype(le).tobytes()
-          for a in arrays.values())])
+    return [struct.pack(_LAYER_RECORD, MODES.index(mode), tie, *dims.values(),
+                        *knobs), *arrays.values()]
 
 
-def _read_layer(r: _Reader, dtype: np.dtype) -> tuple[RoutingParams, RoutingConfig]:
+def _read_layer(r: _Reader) -> tuple[RoutingParams, RoutingConfig]:
     code, tie, *rest = r.unpack(_LAYER_RECORD)
     # RoutingConfig rejects an undefined mode code or tie byte as an int
     values = iter([MODES[code] if code < len(MODES) else code,
@@ -562,51 +550,35 @@ def _read_layer(r: _Reader, dtype: np.dtype) -> tuple[RoutingParams, RoutingConf
         key: {dim: next(values) for dim in value}
         if isinstance(value, dict) else next(values)
         for key, value in _META_LAYOUT.items()})
-    # math.prod: header dims are untrusted and np.prod would overflow
     params = RoutingParams.from_items(
-        (name, r.floats(dtype, math.prod(shape)).reshape(shape))
-        for name, shape in param_shapes(config).items())
+        (name, r.array(shape)) for name, shape in param_shapes(config).items())
     return params, config
 
 
 def write_params(path, params: RoutingParams, config: RoutingConfig) -> None:
-    if str(path).endswith(".json"):
-        _write_params_json(path, params, config)
+    if not str(path).endswith(".json"):
+        _write_file(path, _KIND_PARAMS, *_layer_record(params, config))
         return
-    arrays = _stored_arrays(params, config)
-    code = _dtype_code(arrays.values())
-    _write_file(path, _KIND_PARAMS, code,
-                _layer_record(config, arrays, _DTYPE_CODES[code]))
-
-
-def read_params(path) -> tuple[RoutingParams, RoutingConfig]:
-    if str(path).endswith(".json"):
-        return _read_params_json(path)
-    r, dtype = _read_file(path, _KIND_PARAMS)
-    layer = _read_layer(r, dtype)
-    r.done()
-    return layer
-
-
-def _write_params_json(path, params: RoutingParams,
-                       config: RoutingConfig) -> None:
     fields = _layer_meta(config)
     fields.update((name, a.tolist())
                   for name, a in _stored_arrays(params, config).items())
     _write_json(path, "routing_params", fields)
 
 
-def _read_params_json(path) -> tuple[RoutingParams, RoutingConfig]:
-    doc = _load_caps_json(path, "routing_params")
-    config = _stored_config(doc)
-    shapes = param_shapes(config)
-    _check_keys(doc, _JSON_HEAD + tuple(_META_LAYOUT) + tuple(shapes),
-                "routing_params")
-    _check_keys(doc["dims"], _META_LAYOUT["dims"], "routing_params 'dims'")
-    params = RoutingParams.from_items(
-        (name, _json_array(doc, name, shape))
-        for name, shape in shapes.items())
-    return params, config
+def read_params(path) -> tuple[RoutingParams, RoutingConfig]:
+    if str(path).endswith(".json"):
+        doc = _load_caps_json(path, "routing_params")
+        config = _stored_config(doc)
+        shapes = param_shapes(config)
+        _check_keys(doc, [*_META_LAYOUT, *shapes])
+        params = RoutingParams.from_items(
+            (name, _json_array(doc, name, shape))
+            for name, shape in shapes.items())
+        return params, config
+    r = _Reader(_read_bytes(path), _KIND_PARAMS)
+    layer = _read_layer(r)
+    r.done()
+    return layer
 
 
 def _check_stack(layers, n_classes: int, error: type) -> None:
@@ -632,22 +604,19 @@ def _check_stack(layers, n_classes: int, error: type) -> None:
 
 
 def write_model(path, layers, n_classes: int) -> None:
-    """Write a stack of (params, config) routing layers as one model;
-    ShapeError if they do not route into ``n_classes`` outputs."""
+    """Write a stack of (params, config) routing layers as one model, in
+    the binary container whatever the suffix; ShapeError if they do not
+    route into ``n_classes`` outputs."""
     _check_stack(layers, n_classes, ShapeError)
-    stored = [(config, _stored_arrays(params, config))
-              for params, config in layers]
-    code = _dtype_code([a for _, arrays in stored for a in arrays.values()])
-    _write_file(path, _KIND_MODEL, code,
-                struct.pack("<II", len(layers), n_classes),
-                *(_layer_record(config, arrays, _DTYPE_CODES[code])
-                  for config, arrays in stored))
+    _write_file(path, _KIND_MODEL, struct.pack("<II", len(layers), n_classes),
+                *(part for params, config in layers
+                  for part in _layer_record(params, config)))
 
 
 def read_model(path) -> tuple[list[tuple[RoutingParams, RoutingConfig]], int]:
-    r, dtype = _read_file(path, _KIND_MODEL)
+    r = _Reader(_read_bytes(path), _KIND_MODEL)
     n_layers, n_classes = r.unpack("<II")
-    layers = [_read_layer(r, dtype) for _ in range(n_layers)]
+    layers = [_read_layer(r) for _ in range(n_layers)]
     r.done()
     _check_stack(layers, n_classes, DataFormatError)
     return layers, n_classes

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import struct
@@ -702,6 +703,19 @@ def test_model_file_round_trip(tmp_path):
         np.testing.assert_array_equal(p.weights, bp.weights)
 
 
+def test_model_file_is_binary_whatever_the_suffix(tmp_path):
+    # a model has no JSON twin
+    cfg1 = RoutingConfig(n_out=4, d_cov=2, d_in=2, d_out=3)
+    cfg2 = RoutingConfig(n_out=5, n_in=4, d_cov=2, d_in=3, d_out=2)
+    layers = [(init_params(cfg1, 0), cfg1), (init_params(cfg2, 1), cfg2)]
+    for name in ("m.caps", "m.json"):
+        D.write_model(tmp_path / name, layers, n_classes=5)
+    blob = (tmp_path / "m.json").read_bytes()
+    assert blob == (tmp_path / "m.caps").read_bytes()
+    back, n_classes = D.read_model(tmp_path / "m.json")
+    assert n_classes == 5 and [c for _, c in back] == [cfg1, cfg2]
+
+
 _STACK_CFG1 = RoutingConfig(n_out=4, d_cov=2, d_in=2, d_out=3)
 
 
@@ -820,6 +834,9 @@ def test_empty_dataset_round_trips(tmp_path):
 
 # ---------------------------------------------------------------------------
 # total decoding: damaged files read back or raise DataFormatError
+#
+# Every reader gets its bytes from D._read_bytes, so these sweeps hand
+# each damaged blob to the public readers without writing a file.
 
 
 def _damaged(blob: bytes):
@@ -835,56 +852,144 @@ def _damaged(blob: bytes):
             yield f"bit {bit} of byte {pos} flipped", bytes(flipped)
 
 
-def _undecoded(read, path, cases):
-    """The cases on which ``read`` neither returns nor raises
-    DataFormatError, with what it raised."""
+def _undecoded(read, name, cases, monkeypatch):
+    """The cases on which ``read(name)``, given each case's bytes as the
+    file's, neither returns nor raises DataFormatError, with what it
+    raised."""
     failures = []
+    blob = b""
+    # the stand-in reads the loop's current blob when the reader calls it
+    monkeypatch.setattr(D, "_read_bytes", lambda path: blob)
     for what, blob in cases:
-        path.write_bytes(blob)
         try:
-            read(path)
+            read(name)
         except DataFormatError:
             pass
         except Exception as e:  # noqa: BLE001 -- anything else is the bug
-            failures.append(f"{path.name}, {what}: {e!r}")
+            failures.append(f"{name}, {what}: {e!r}")
     return failures
 
 
+_SMALL_FIRST = RoutingConfig(n_out=2, d_cov=1, d_in=1, d_out=2, tie_betas=True)
+
+
 def _small_files(tmp_path):
-    """A labelled capsule batch, a params file and a two-layer model,
-    each written in the binary container, with the reader of each."""
+    """A labelled capsule batch and a params file, each written in both
+    encodings, and a two-layer model, with the reader of each."""
     rng = np.random.default_rng(40)
     batch = CapsuleBatch(rng.uniform(-3, 3, size=(2, 3)),
                          rng.normal(size=(2, 3, 2, 2)))
-    D.write_capsules(tmp_path / "batch.caps", batch, [1, 0])
     cfg = RoutingConfig(n_out=2, n_in=2, d_cov=1, d_in=2, d_out=2)
-    D.write_params(tmp_path / "layer.caps", random_params(rng, cfg), cfg)
-    first = RoutingConfig(n_out=2, d_cov=1, d_in=1, d_out=2, tie_betas=True)
+    params = random_params(rng, cfg)
+    for suffix in (".caps", ".json"):
+        D.write_capsules(tmp_path / f"batch{suffix}", batch, [1, 0])
+        D.write_params(tmp_path / f"layer{suffix}", params, cfg)
     second = RoutingConfig(n_out=2, n_in=2, d_cov=1, d_in=2, d_out=1)
     D.write_model(tmp_path / "model.caps",
-                  [(random_params(rng, c), c) for c in (first, second)], 2)
-    return {"batch.caps": D.read_capsules, "layer.caps": D.read_params,
+                  [(random_params(rng, c), c) for c in (_SMALL_FIRST, second)],
+                  2)
+    return {"batch.caps": D.read_capsules, "batch.json": D.read_capsules,
+            "layer.caps": D.read_params, "layer.json": D.read_params,
             "model.caps": D.read_model}
 
 
-def test_damaged_binary_files_decode_or_raise_format_error(tmp_path):
+def _sweep(tmp_path, monkeypatch, suffix):
+    """The undecoded cases of every damaged _small_files file of
+    ``suffix``."""
     failures = []
     for name, read in _small_files(tmp_path).items():
-        blob = (tmp_path / name).read_bytes()
-        failures += _undecoded(read, tmp_path / f"damaged-{name}",
-                               _damaged(blob))
+        if name.endswith(suffix):
+            blob = (tmp_path / name).read_bytes()
+            failures += _undecoded(read, name, _damaged(blob), monkeypatch)
+    return failures
+
+
+def test_damaged_binary_files_decode_or_raise_format_error(tmp_path,
+                                                           monkeypatch):
+    failures = _sweep(tmp_path, monkeypatch, ".caps")
     assert not failures, failures[:5]
 
 
-def test_cut_caps_json_decodes_or_raises_format_error(tmp_path):
+def test_damaged_json_files_decode_or_raise_format_error(tmp_path,
+                                                         monkeypatch):
+    failures = _sweep(tmp_path, monkeypatch, ".json")
+    assert not failures, failures[:5]
+
+
+def test_cut_caps_json_decodes_or_raises_format_error(tmp_path, monkeypatch):
     path = tmp_path / "batch.json"
     rng = np.random.default_rng(41)
     D.write_capsules(path, CapsuleBatch(rng.uniform(-3, 3, size=(2, 2)),
                                         rng.normal(size=(2, 2, 1, 2))), [0, 1])
     blob = path.read_bytes()
     cases = ((f"cut at {end}", blob[:end]) for end in range(len(blob)))
-    failures = _undecoded(D.read_capsules, tmp_path / "cut.json", cases)
+    failures = _undecoded(D.read_capsules, "cut.json", cases, monkeypatch)
     assert not failures, failures[:5]
+
+
+def _u32_fields() -> dict:
+    """Byte offsets of the u32 header fields of _small_files' binary files:
+    a batch's four dims after its flags byte; a layer record's five dims
+    and n_iters after its mode and tie bytes; a model's layer and class
+    counts before its two records."""
+    record = [2 + 4 * k for k in range(6)]
+    second = 16 + struct.calcsize(D._LAYER_RECORD) + 8 * sum(
+        math.prod(shape) for shape in param_shapes(_SMALL_FIRST).values())
+    return {"batch.caps": [9 + 4 * k for k in range(4)],
+            "layer.caps": [8 + at for at in record],
+            "model.caps": [8, 12, *(16 + at for at in record),
+                           *(second + at for at in record)]}
+
+
+def test_oversized_header_fields_decode_or_raise_format_error(tmp_path,
+                                                              monkeypatch):
+    readers = _small_files(tmp_path)
+    failures = []
+    for name, offsets in _u32_fields().items():
+        blob = (tmp_path / name).read_bytes()
+        cases = []
+        for fields in [*itertools.combinations(offsets, 1),
+                       *itertools.combinations(offsets, 2)]:
+            for values in itertools.product((2 ** 16, 2 ** 31, 2 ** 32 - 1),
+                                            repeat=len(fields)):
+                changed = bytearray(blob)
+                for at, value in zip(fields, values):
+                    changed[at:at + 4] = struct.pack("<I", value)
+                cases.append((f"u32s at {fields} set to {values}",
+                               bytes(changed)))
+        failures += _undecoded(readers[name], name, cases, monkeypatch)
+    assert not failures, failures[:5]
+
+
+def _rekeyed(doc: dict):
+    """(key, JSON bytes) for ``doc`` with one key dropped, or an unknown
+    key 'bogus' added, at the top level and in its 'dims', if any."""
+    for inner in [None] + (["dims"] if "dims" in doc else []):
+        for key in [*(doc[inner] if inner else doc), "bogus"]:
+            changed = json.loads(json.dumps(doc))
+            part = changed[inner] if inner else changed
+            if key in part:
+                del part[key]
+            else:
+                part[key] = 1
+            yield key, json.dumps(changed).encode()
+
+
+def test_json_with_a_key_missing_or_unknown_raises_format_error(
+        tmp_path, monkeypatch):
+    readers = _small_files(tmp_path)
+    blob = b""
+    monkeypatch.setattr(D, "_read_bytes", lambda path: blob)
+    for name in ("batch.json", "layer.json"):
+        for key, blob in _rekeyed(json.loads((tmp_path / name).read_bytes())):
+            if key == "labels":  # the one optional key
+                assert readers[name](name)[1] is None
+                continue
+            message = {"bogus": "unknown .*'bogus'", "format": "caps-json",
+                       "version": "version", "kind": "found None"}
+            with pytest.raises(DataFormatError,
+                               match=message.get(key, f"no '{key}'")):
+                readers[name](name)
 
 
 def test_route_of_a_cut_capsule_file_exits_2(tmp_path, capsys):
