@@ -336,17 +336,20 @@ class _Reader:
             )
 
 
-def _write_file(path, kind: int, *parts) -> None:
-    """Write a binary file of ``kind``: the header, then ``parts``, each
-    bytes or an array. The arrays are stored in the header's one dtype:
-    float64 if any of them is float64, by the tensor module's dtype rule,
-    else float32."""
-    dtypes = {np.dtype(part.dtype.type) for part in parts
-              if not isinstance(part, bytes)}
+def _dtype_code(arrays) -> int:
+    """The one stored dtype of ``arrays``, in either encoding: float64 if
+    any is float64, else float32; DataFormatError for any other dtype."""
+    dtypes = {np.dtype(a.dtype.type) for a in arrays}
     unsupported = dtypes - _CODES_BY_KIND.keys()
     if unsupported:
         raise DataFormatError(f"unsupported dtype {unsupported.pop()}")
-    code = _CODES_BY_KIND[np.result_type(*dtypes)]
+    return _CODES_BY_KIND[np.result_type(*dtypes)]
+
+
+def _write_file(path, kind: int, *parts) -> None:
+    """Write a binary file of ``kind``: the header, then ``parts``, each
+    bytes or an array stored in the one dtype of :func:`_dtype_code`."""
+    code = _dtype_code([part for part in parts if not isinstance(part, bytes)])
     with open(path, "wb") as f:
         f.write(MAGIC + struct.pack("<HBB", FORMAT_VERSION, kind, code))
         f.writelines(part if isinstance(part, bytes)
@@ -356,8 +359,10 @@ def _write_file(path, kind: int, *parts) -> None:
 
 def _write_json(path, kind: str, fields: dict) -> None:
     """Write the caps-json document of ``kind`` holding ``fields``."""
+    _dtype_code([v for v in fields.values() if isinstance(v, np.ndarray)])
     doc = {"format": "caps-json", "version": FORMAT_VERSION, "kind": kind}
-    doc.update(fields)
+    doc.update((k, v.tolist() if isinstance(v, np.ndarray) else v)
+               for k, v in fields.items())
     with open(path, "w") as f:
         json.dump(doc, f)
 
@@ -383,7 +388,7 @@ def write_capsules(path, batch: CapsuleBatch, labels=None) -> None:
     if len(poses) == 0:
         raise ShapeError("a caps-json file cannot hold zero samples: its "
                          "nested lists would not record n, d_cov or d_in")
-    fields = {"scores": scores.tolist(), "poses": poses.tolist()}
+    fields = {"scores": scores, "poses": poses}
     if labels is not None:
         fields["labels"] = labels.tolist()
     _write_json(path, "capsule_batch", fields)
@@ -537,6 +542,10 @@ def _layer_record(params: RoutingParams, config: RoutingConfig) -> list:
     :func:`_write_file`: its metadata, then its arrays."""
     arrays = _stored_arrays(params, config)
     mode, tie, dims, *knobs = _layer_meta(config).values()
+    for name, value in [*dims.items(), ("n_iters", knobs[0])]:
+        if value >= 2 ** 32:
+            raise DataFormatError(f"{name}={value} is above the u32 limit "
+                                  f"2**32 - 1 of a binary layer record")
     return [struct.pack(_LAYER_RECORD, MODES.index(mode), tie, *dims.values(),
                         *knobs), *arrays.values()]
 
@@ -559,10 +568,8 @@ def write_params(path, params: RoutingParams, config: RoutingConfig) -> None:
     if not str(path).endswith(".json"):
         _write_file(path, _KIND_PARAMS, *_layer_record(params, config))
         return
-    fields = _layer_meta(config)
-    fields.update((name, a.tolist())
-                  for name, a in _stored_arrays(params, config).items())
-    _write_json(path, "routing_params", fields)
+    _write_json(path, "routing_params",
+                _layer_meta(config) | _stored_arrays(params, config))
 
 
 def read_params(path) -> tuple[RoutingParams, RoutingConfig]:
@@ -608,9 +615,10 @@ def write_model(path, layers, n_classes: int) -> None:
     the binary container whatever the suffix; ShapeError if they do not
     route into ``n_classes`` outputs."""
     _check_stack(layers, n_classes, ShapeError)
+    records = [part for params, config in layers  # bound n_classes first
+               for part in _layer_record(params, config)]
     _write_file(path, _KIND_MODEL, struct.pack("<II", len(layers), n_classes),
-                *(part for params, config in layers
-                  for part in _layer_record(params, config)))
+                *records)
 
 
 def read_model(path) -> tuple[list[tuple[RoutingParams, RoutingConfig]], int]:

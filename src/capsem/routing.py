@@ -546,6 +546,8 @@ def _moments(used: Tensor, votes: Tensor, eps: float, floor: float) -> tuple:
     and s = var - floor, the VJPs are du = sum_ch (Gmu + Gvar d) d -
     sum_ch Gvar s and dv = u (Gmu + 2 Gvar d); Gmu carries the variance's
     mean term, -2 eps Gvar mu / D, as sum_i u d = eps mu at this mean.
+    Where Gvar is all zero, as in a last M-step whose variances reach no
+    loss, the body skips its terms: du = sum_ch Gmu d and dv = u Gmu.
     The VJP's body, shared with the next log-density, returns dv in d.
     """
     u, v = used.data, votes.data
@@ -563,17 +565,22 @@ def _moments(used: Tensor, votes: Tensor, eps: float, floor: float) -> tuple:
 
     def backprop(d, g):  # overwrites both
         g_mu, g_var = np.divide(g, dn, out=g)
-        g_mu -= (2.0 * eps) * g_var * mean / dn
+        full = g_var.any()  # else only the mean reaches a loss
+        if full:
+            g_mu -= (2.0 * eps) * g_var * mean / dn
         g_u = None
         if not const_u:
             # the einsums measured faster (one BLAS thread, 2-core VM, desk
             # layer 0 and wide_route): 120 and 179 us, not 148 and 281 with
             # a g_var d temporary; 7 and 5 us, not 17 and 19 as a _product
             g_u = T._product(d, "bijch", g_mu, "bjch", "bij")
-            g_u += np.einsum("bijch,bjch,bijch->bij", d, g_var, d)
-            g_u -= np.einsum("bjch,bjch->bj", g_var, var - floor)[:, None]
+            if full:
+                g_u += np.einsum("bijch,bjch,bijch->bij", d, g_var, d)
+                g_u -= np.einsum("bjch,bjch->bj", g_var, var - floor)[:, None]
         if const_v:  # no dv
             return g_u, None
+        if not full:  # dv = u g_mu
+            return g_u, np.multiply(u[..., None, None], g_mu[:, None], out=d)
         d *= np.multiply(g_var, 2.0, out=g_var)[:, None]
         d += g_mu[:, None]
         d *= u[..., None, None]

@@ -40,6 +40,7 @@ Float32 runs therefore need nothing but float32 parameters and inputs.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import sys
@@ -383,6 +384,37 @@ def _parse_contract_spec(spec: str) -> tuple[str, str, str]:
     return a_spec, b_spec, out
 
 
+@functools.lru_cache(maxsize=512)
+def _plan(x_spec: str, x_shape: tuple, y_spec: str, y_shape: tuple,
+          out: str) -> tuple:
+    """:func:`_product`'s matmul plan for these specs and shapes."""
+    summed = [i for i in x_spec if i in y_spec and i not in out]
+    x_kept = [i for i in out if i in x_spec and i not in y_spec]
+    y_kept = [i for i in out if i in y_spec and i not in x_spec]
+    extents = dict(zip(x_spec, x_shape)) | dict(zip(y_spec, y_shape))
+    batch = [i for i in out if i in x_spec and i in y_spec]
+    order = batch + x_kept + y_kept
+
+    def sizes(*groups):  # the extent of each group of indexes
+        return tuple(math.prod(extents[i] for i in g) for g in groups)
+
+    def live(group):  # its indexes of extent > 1
+        return "".join(i for i in group if extents[i] != 1)
+
+    # M's axes adjacent in out's order and N's at its end: the view's M
+    # and N merge without a copy, and its rows are contiguous
+    in_place = live(x_kept) in live(out) and live(out).endswith(live(y_kept))
+    # the axes and shape that view the result in matmul order, or else
+    # copy the product into out's order
+    axes, mat = ((tuple(out.index(i) for i in order),
+                  sizes(*batch, x_kept, y_kept)) if in_place
+                 else (tuple(order.index(i) for i in out), sizes(*order)))
+    return (tuple(x_spec.index(i) for i in batch + x_kept + summed),
+            sizes(*batch, x_kept, summed),
+            tuple(y_spec.index(i) for i in batch + summed + y_kept),
+            sizes(*batch, summed, y_kept), sizes(*out), in_place, axes, mat)
+
+
 def _product(x: np.ndarray, x_spec: str, y: np.ndarray, y_spec: str,
              out: str, into: np.ndarray | None = None) -> np.ndarray:
     """``np.einsum(f"{x_spec},{y_spec}->{out}", x, y)`` for a signature
@@ -395,36 +427,18 @@ def _product(x: np.ndarray, x_spec: str, y: np.ndarray, y_spec: str,
     else a new array. The matmul writes it in place through a transposed
     view where that view reshapes to (batch, M, N) without a copy and its
     rows have unit stride or length 1, as BLAS writes a fresh result;
-    else the product is copied in.
+    else the product is copied in. The plan of transposes and shapes is
+    worked out once per specs and shapes, and the 512 latest are kept.
     """
-    summed = [i for i in x_spec if i in y_spec and i not in out]
-    x_kept = [i for i in out if i in x_spec and i not in y_spec]
-    y_kept = [i for i in out if i in y_spec and i not in x_spec]
-    extents = dict(zip(x_spec, x.shape)) | dict(zip(y_spec, y.shape))
-    batch = [i for i in out if i in x_spec and i in y_spec]
-
-    def as_matrices(arr, spec, rows, cols):
-        arr = arr.transpose([spec.index(i) for i in batch + rows + cols])
-        return arr.reshape([extents[i] for i in batch]
-                           + [math.prod(extents[i] for i in rows),
-                              math.prod(extents[i] for i in cols)])
-
-    def live(group):  # its indexes of extent > 1
-        return "".join(i for i in group if extents[i] != 1)
-
-    xm = as_matrices(x, x_spec, x_kept, summed)
-    ym = as_matrices(y, y_spec, summed, y_kept)
-    if into is None:
-        into = np.empty([extents[i] for i in out], np.result_type(x, y))
-    order = batch + x_kept + y_kept
-    # M's axes adjacent in out's order and N's at its end: the view's M
-    # and N merge without a copy, and its rows are contiguous
-    if live(x_kept) in live(out) and live(out).endswith(live(y_kept)):
-        view = into.transpose([out.index(i) for i in order])
-        np.matmul(xm, ym, out=view.reshape(xm.shape[:-1] + ym.shape[-1:]))
+    x_axes, x_mat, y_axes, y_mat, shape, in_place, axes, mat_shape = _plan(
+        x_spec, x.shape, y_spec, y.shape, out)
+    xm = x.transpose(x_axes).reshape(x_mat)
+    ym = y.transpose(y_axes).reshape(y_mat)
+    into = np.empty(shape, np.result_type(x, y)) if into is None else into
+    if in_place:
+        np.matmul(xm, ym, out=into.transpose(axes).reshape(mat_shape))
     else:
-        prod = np.matmul(xm, ym).reshape([extents[i] for i in order])
-        into[...] = prod.transpose([order.index(i) for i in out])
+        into[...] = np.matmul(xm, ym).reshape(mat_shape).transpose(axes)
     return into
 
 

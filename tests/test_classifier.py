@@ -1,5 +1,6 @@
 import gc
 import tracemalloc
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -248,14 +249,51 @@ def _peak_mb(fn) -> float:
         tracemalloc.stop()
 
 
-def test_predict_proba_memory_does_not_grow_with_batch(routed_data):
+class _SerialPool:
+    """A stand-in for route's thread pool that runs each part when it is
+    submitted, so that no result depends on thread timing."""
+
+    def __init__(self, workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
+def test_predict_proba_memory_does_not_grow_with_batch(routed_data,
+                                                       monkeypatch):
+    # tracemalloc counts a pooled buffer only when it is made, and how
+    # many are live at once depends on how split parts overlap; so at two
+    # CPUs each 100-sample chunk still splits into two 50-sample parts,
+    # but they run one after the other
+    monkeypatch.setattr(routing, "ThreadPoolExecutor", _SerialPool)
+    parts, iterate = [], routing._iterate
+
+    def spy(params, caps, *rest):  # records each part's batch size
+        parts.append(len(T.asarray(caps.scores)))
+        return iterate(params, caps, *rest)
+
+    monkeypatch.setattr(routing, "_iterate", spy)
     model, scores, poses, _ = routed_data
     small = CapsuleBatch(scores[:100], poses[:100])
-    model.predict_proba(small)  # warm lazily built caches
-    peak_100 = _peak_mb(lambda: model.predict_proba(small))
-    peak_400 = _peak_mb(lambda: model.predict_proba(
-        CapsuleBatch(scores, poses)))
-    assert peak_400 <= 1.1 * peak_100, (peak_100, peak_400)
+    for cpus in (1, 2):
+        monkeypatch.setattr(routing, "_cpu_count", lambda: cpus)
+        model.predict_proba(small)  # warm lazily built caches
+        peak_100 = _peak_mb(lambda: model.predict_proba(small))
+        parts.clear()
+        peak_400 = _peak_mb(lambda: model.predict_proba(
+            CapsuleBatch(scores, poses)))
+        assert peak_400 <= 1.1 * peak_100, (cpus, peak_100, peak_400)
+        # each chunk routes once per layer, whole or in two parts
+        assert parts == [100 // cpus] * (2 * 4 * cpus)
 
 
 def test_predict_proba_pool_does_not_grow_with_batch(routed_data,

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -687,6 +688,39 @@ def test_capsule_writer_keeps_mixed_dtypes_exact(tmp_path):
     back, _ = D.read_capsules(path)
     np.testing.assert_array_equal(back.scores, batch.scores)
     np.testing.assert_array_equal(back.poses, batch.poses)
+
+
+@pytest.mark.parametrize("field", ["n_iters", "n_in", "n_out"])
+def test_binary_writers_refuse_a_field_beyond_u32(tmp_path, field):
+    # a layer record stores n_iters and the dims as u32; the params are
+    # zero-strided views, so a dim of 2**32 costs no memory
+    cfg = dataclasses.replace(_LAYOUTS[0], **{field: 2 ** 32})
+    p = RoutingParams.from_items(
+        (name, np.broadcast_to(np.zeros(()), shape))
+        for name, shape in param_shapes(cfg).items())
+    message = f"{field}=4294967296 is above the u32 limit 2\\*\\*32 - 1"
+    for path, write in ((tmp_path / "p.caps", lambda path: D.write_params(
+            path, p, cfg)), (tmp_path / "m.caps", lambda path: D.write_model(
+                path, [(p, cfg)], n_classes=cfg.n_out))):
+        with pytest.raises(DataFormatError, match=message):
+            write(path)
+        assert not path.exists()
+
+
+@pytest.mark.parametrize("suffix", [".caps", ".json"])
+def test_writers_refuse_dtypes_other_than_float32_and_float64(tmp_path,
+                                                              suffix):
+    # the one dtype rule holds in both encodings, before a file is opened
+    batch = CapsuleBatch(np.zeros((2, 3)), np.zeros((2, 3, 2, 2), np.float16))
+    cfg = _LAYOUTS[0]
+    p = init_params(cfg, seed=0)
+    p.weights = p.weights.astype(np.float16)
+    for name, write in (("batch", lambda path: D.write_capsules(path, batch)),
+                        ("params", lambda path: D.write_params(path, p, cfg))):
+        path = tmp_path / (name + suffix)
+        with pytest.raises(DataFormatError, match="unsupported dtype float16"):
+            write(path)
+        assert not path.exists()
 
 
 def test_model_file_round_trip(tmp_path):

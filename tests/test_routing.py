@@ -433,6 +433,17 @@ def _moments_case(half):
             lambda x: _composed_moments(x)[half], ("used", "votes"))
 
 
+def _mean_case(fixed):
+    """The mean alone, with ``fixed`` (the used shares or the votes) an
+    untracked constant."""
+    def const(x):
+        return x | {fixed: T.tensor(x[fixed].data)}
+
+    return (lambda x: _fused_moments(const(x))[0],
+            lambda x: _composed_moments(const(x))[0],
+            tuple(name for name in ("used", "votes") if name != fixed))
+
+
 def _fused_boundary(x):
     # an M-step's fit hands the log-density node the M-step's inputs
     mean, var, _, fit = _fused_moments(x)
@@ -482,9 +493,13 @@ FUSED_OPS = {
             x["votes"], R.RoutingOutput(None, x["mean"], x["var"])),
         _composed_log_density, ("votes", "mean", "var")),
     # the M-step's mean and variance with both on the loss path, then
-    # each alone, so that the other's half of the node's gradient is zero
+    # each alone, so that the other's half of the node's gradient is zero;
+    # with the mean alone the VJP skips the variance terms, so that case
+    # runs with each input constant in turn too
     "moments": _moments_case(slice(2)),
     "weighted_mean": _moments_case(0),
+    "weighted_mean_of_fixed_used": _mean_case("used"),
+    "weighted_mean_of_fixed_votes": _mean_case("votes"),
     "weighted_variance": _moments_case(1),
     # the next E-step's log-density of that mean and variance, as one node
     # over the M-step's inputs
@@ -602,6 +617,66 @@ def test_fused_op_keeps_float32(op):
         assert out.dtype == np.float32
     for name, g in zip(names, grads):
         assert g.dtype == np.float32, name
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("reads_var", [False, True])
+def test_moments_vjp_equals_its_full_formula_bit_for_bit(reads_var, dtype):
+    # a copy of the M-step VJP body that forms every variance term: at a
+    # zero variance gradient the body skips them and gives the same bytes
+    x = _fused_operands(35, dtype=dtype)
+    tape = T.Tape()
+    used, votes = tape.leaf(x["used"]), tape.leaf(x["votes"])
+    mean, var, _, fit = R._moments(used, votes, MOMENTS_EPS, 0.01)
+    u, mu = x["used"], mean.data
+    dn = (u.sum(axis=1) + np.asarray(MOMENTS_EPS, dtype))[..., None, None]
+    rng = np.random.default_rng(36)
+    g = np.stack([rng.normal(size=mu.shape).astype(dtype),
+                  (rng.normal(size=mu.shape) if reads_var
+                   else np.zeros(mu.shape)).astype(dtype)])
+    g_mu, g_var = g / dn
+    g_mu -= (2.0 * MOMENTS_EPS) * g_var * mu / dn
+    d = R._deviations(x["votes"], mu)
+    want_u = T._product(d, "bijch", g_mu, "bjch", "bij")
+    want_u += np.einsum("bijch,bjch,bijch->bij", d, g_var, d)
+    want_u -= np.einsum("bjch,bjch->bj", g_var, var.data - 0.01)[:, None]
+    want_v = d * (g_var * 2.0)[:, None]
+    want_v += g_mu[:, None]
+    want_v *= u[..., None, None]
+    got_u, got_v = fit[4](R._deviations(x["votes"], mu), g.copy())
+    assert got_u.dtype == got_v.dtype == dtype
+    assert got_u.tobytes() == want_u.tobytes()
+    assert got_v.tobytes() == want_v.tobytes()
+
+
+@pytest.mark.parametrize("mode", R.MODES)
+def test_a_route_whose_variances_reach_no_loss_skips_their_terms(
+        monkeypatch, mode):
+    # of a layer's n_iters M-step VJP bodies, the next log-density runs
+    # the first n_iters - 1, which form the variance terms; the last one
+    # forms them only when the loss reads the output variances. Tracked
+    # capsules make the first M-step's used shares tracked too
+    calls = []
+    einsum = np.einsum
+
+    def spy(subscripts, *operands, **kwargs):
+        calls.append(subscripts)
+        return einsum(subscripts, *operands, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", spy)
+    cfg, p, out_bias, caps = _split_case(mode, "f8", 6)
+    for reads_var, runs in ((False, cfg.n_iters - 1), (True, cfg.n_iters)):
+        tape = T.Tape()
+        out = route(p.tracked(tape), caps.tracked(tape), cfg,
+                    out_bias=out_bias)
+        loss = T.add(T.reduce_sum(T.square(out.scores)),
+                     T.reduce_sum(T.square(out.poses)))
+        if reads_var:
+            loss = T.add(loss, T.reduce_sum(out.variances))
+        calls.clear()
+        T.backward(tape, loss)
+        assert calls.count("bijch,bjch,bijch->bij") == runs, reads_var
+        assert calls.count("bjch,bjch->bj") == runs, reads_var
 
 
 def test_desk_route_tape_length_is_pinned():
@@ -1616,6 +1691,26 @@ def test_split_route_equals_the_unsplit_route_bit_for_bit(
                     where = (batch, want_trace, cpus, name)
                     assert got[name].dtype == value.dtype == np.dtype(dtype)
                     assert np.array_equal(got[name], value), where
+
+
+@pytest.mark.parametrize("mode", R.MODES)
+def test_split_route_with_cold_and_warm_plans_equals_the_unsplit_route(
+        monkeypatch, mode):
+    # with the plan cache cleared, the parts' threads work out their
+    # products' plans at once; the next split route finds them all
+    cfg, p, out_bias, caps = _split_case(mode, "f8", 2 * R.SPLIT_MIN)
+    kw = dict(out_bias=out_bias, want_trace=True)
+    monkeypatch.setattr(R, "_cpu_count", lambda: 1)
+    want = _routed_arrays(route(p, caps, cfg, **kw))
+    monkeypatch.setattr(R, "_cpu_count", lambda: 2)
+    T._plan.cache_clear()
+    for warm in (False, True):
+        misses = T._plan.cache_info().misses
+        got = _routed_arrays(route(p, caps, cfg, **kw))
+        assert (T._plan.cache_info().misses == misses) == warm
+        assert got.keys() == want.keys()
+        for name, value in want.items():
+            assert got[name].tobytes() == value.tobytes(), (warm, name)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -650,8 +652,8 @@ def _in_matmul_order(spec):
             + "".join(i for i in out if i in b and i not in a))
 
 
-@pytest.mark.parametrize("dtype", ["f8", "f4"])
-@pytest.mark.parametrize("spec, extents", [
+# products whose matmul writes in place, and ones copied into the result
+PRODUCT_CASES = [
     ("bijch,bjch->bij", dict(b=50, i=10, j=32, c=4, h=4)),
     ("bijch,bjch->bij", dict(b=50, i=32, j=5, c=4, h=4)),
     ("bijch,bjch->bij", dict(b=8, i=64, j=16, c=4, h=4)),
@@ -661,17 +663,27 @@ def _in_matmul_order(spec):
     ("ij,jk->ki", dict(i=5, j=7, k=3)),
     ("abc,cd->bda", dict(a=3, b=1, c=4, d=5)),
     ("ij,ij->", dict(i=5, j=7)),
-])
+]
+
+
+def _product_operands(spec, extents, dtype, seed):
+    """a_spec, b_spec, out and random operands of ``spec``."""
+    rng = np.random.default_rng(seed)
+    (a_spec, b_spec), out = spec.split("->")[0].split(","), spec.split("->")[1]
+    a, b = (rng.normal(size=[extents[i] for i in s]).astype(dtype)
+            for s in (a_spec, b_spec))
+    return a_spec, b_spec, out, a, b
+
+
+@pytest.mark.parametrize("dtype", ["f8", "f4"])
+@pytest.mark.parametrize("spec, extents", PRODUCT_CASES)
 def test_product_in_any_order_equals_the_matmul_order_transposed(
         spec, extents, dtype):
     # whether the matmul writes straight into the result through a
     # transposed view or its product is copied in, every bit and the
     # dtype match the product in matmul order, transposed; ``into`` is
     # filled and returned
-    rng = np.random.default_rng(36)
-    (a_spec, b_spec), out = spec.split("->")[0].split(","), spec.split("->")[1]
-    a, b = (rng.normal(size=[extents[i] for i in s]).astype(dtype)
-            for s in (a_spec, b_spec))
+    a_spec, b_spec, out, a, b = _product_operands(spec, extents, dtype, 36)
     order = _in_matmul_order(spec)
     want = np.asarray(T._product(a, a_spec, b, b_spec, order)
                       .transpose([order.index(i) for i in out]), order="C")
@@ -696,6 +708,73 @@ def test_product_allocates_its_result_once():
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * res.nbytes
+
+
+@pytest.mark.parametrize("dtype", ["f8", "f4"])
+@pytest.mark.parametrize("spec, extents", PRODUCT_CASES)
+def test_product_plan_cache_hit_equals_a_miss_bit_for_bit(spec, extents,
+                                                          dtype):
+    # the first call works the plan out, with or without ``into``; two
+    # later calls, one of each, find it and give the same bytes
+    a_spec, b_spec, out, a, b = _product_operands(spec, extents, dtype, 38)
+
+    def product(use_into):
+        into = (np.full([extents[i] for i in out], np.nan, dtype)
+                if use_into else None)
+        return T._product(a, a_spec, b, b_spec, out, into=into)
+
+    for first in (False, True):
+        T._plan.cache_clear()
+        results = [product(first), product(False), product(True)]
+        info = T._plan.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+        for got in results:
+            assert got.dtype == np.dtype(dtype)
+            assert got.tobytes() == results[0].tobytes()
+
+
+def test_product_plan_cache_is_bounded():
+    # more shapes than the cache holds: it keeps the most recent ones
+    maxsize = T._plan.cache_info().maxsize
+    assert maxsize is not None
+    for n in range(1, maxsize + 20):
+        T._product(np.ones((2, n)), "ij", np.ones((n, 3)), "jk", "ik")
+    assert T._plan.cache_info().currsize == maxsize
+    T._product(np.ones((2, 1)), "ij", np.ones((1, 3)), "jk", "ik")
+    assert T._plan.cache_info().currsize == maxsize
+
+
+def test_product_plan_cache_is_safe_across_threads():
+    # four threads on two or fewer CPUs, switching often, each run every
+    # product of more shapes than the cache holds, so that they miss, hit
+    # and evict at once; each result equals the one-thread result
+    shapes = range(1, T._plan.cache_info().maxsize + 60)
+    rng = np.random.default_rng(39)
+    operands = [(rng.normal(size=(3, n)), rng.normal(size=(n, 2)))
+                for n in shapes]
+
+    def run_all(results):
+        for a, b in operands:
+            results.append(T._product(a, "ij", b, "jk", "ki").tobytes())
+
+    T._plan.cache_clear()
+    want = []
+    run_all(want)
+    T._plan.cache_clear()
+    got = [[] for _ in range(4)]
+    threads = [threading.Thread(target=run_all, args=(r,)) for r in got]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == [want] * 4
+    assert T._plan.cache_info().currsize <= T._plan.cache_info().maxsize
 
 
 @pytest.mark.parametrize("spec", ["bicd,jdh->bijch", "bij,bijch->bjch"])
