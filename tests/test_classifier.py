@@ -232,6 +232,24 @@ def test_predict_proba_batches_one_sample(routed_data):
         probs, model.predict_proba(CapsuleBatch(scores[:1], poses[:1])))
 
 
+def test_predict_proba_of_a_sample_does_not_depend_on_its_batch(routed_data):
+    # each sample's row has the same bytes routed alone, in a pair and in
+    # a batch of 20; betas off zero, so every routing gate is in play
+    model, scores, poses, _ = routed_data
+    rng = np.random.default_rng(30)
+    model = model.with_zero_betas()
+    for name, value in model.param_dict().items():
+        if "beta" in name:
+            value[...] = rng.normal(0.0, 0.5, size=value.shape)
+    scores, poses = scores[:20], poses[:20]
+    whole = model.predict_proba(CapsuleBatch(scores, poses))
+    for size in (1, 2):
+        for lo in range(0, 20, size):
+            part = model.predict_proba(CapsuleBatch(scores[lo:lo + size],
+                                                    poses[lo:lo + size]))
+            assert part.tobytes() == whole[lo:lo + size].tobytes(), (size, lo)
+
+
 def test_evaluate_accuracy_is_argmax_accuracy(routed_data):
     model, scores, poses, labels = routed_data
     caps = CapsuleBatch(scores[:250], poses[:250])

@@ -176,6 +176,34 @@ def test_votes_are_one_node_equal_to_their_generic_composition(mode):
         assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
+def test_votes_equal_the_product_then_the_bias_bit_for_bit():
+    # the votes fold the bias into one batched matmul, except where a
+    # matrix-vector product would round otherwise (one row, d_cov or
+    # d_out of 1) or the bias is wider than the product; in every case
+    # and dtype mix each vote must round as the product, then the bias
+    rng = np.random.default_rng(30)
+    grid = itertools.product(R.MODES, (1, 4), (1, 4), (1, 4), (1, 2, 20),
+                             (1, 10), WORKSPACE_DTYPES, (False, True))
+    for mode, c, d, h, batch, n, name, tracked in grid:
+        dt, bias_dt, caps_dt = WORKSPACE_DTYPES[name]
+        cfg = R.mode_config(mode, n, 3, d_cov=c, d_in=d, d_out=h)
+        p = RoutingParams.from_items(
+            (k, v.astype(bias_dt if k == "biases" else dt))
+            for k, v in random_params(rng, cfg).items())
+        out_bias = (random_out_bias(rng, cfg).astype(bias_dt)
+                    if mode == "variable_output" else None)
+        bias = p.biases if out_bias is None else out_bias
+        poses = rng.normal(size=(batch, n, c, d)).astype(caps_dt)
+        want = np.matmul(poses[:, :, None], p.weights) + bias
+        caps = CapsuleBatch(np.zeros((batch, n), caps_dt), poses)
+        if tracked:
+            tape = T.Tape()
+            p, caps = p.tracked(tape), caps.tracked(tape)
+        got = compute_votes(p, caps, cfg, out_bias).data
+        where = (mode, c, d, h, batch, n, name, tracked)
+        assert got.dtype == want.dtype and np.array_equal(got, want), where
+
+
 def test_votes_reject_params_of_another_layout():
     cfg = small_fixed_config()
     p = init_params(small_fixed_config(n_in=4), seed=0)
@@ -1711,6 +1739,31 @@ def test_split_route_with_cold_and_warm_plans_equals_the_unsplit_route(
         assert got.keys() == want.keys()
         for name, value in want.items():
             assert got[name].tobytes() == value.tobytes(), (warm, name)
+
+
+@pytest.mark.parametrize("tracked", [False, True],
+                         ids=["untracked", "tracked"])
+@pytest.mark.parametrize("mode", R.MODES)
+def test_a_sample_routes_alone_as_in_a_batch_bit_for_bit(mode, tracked):
+    # routing never mixes samples, and the votes' batched matmul has one
+    # row per sample in fixed mode: a batch of one must round as a row of
+    # a larger batch does
+    cfg, p, out_bias, batches = _workspace_case(mode,
+                                                WORKSPACE_DTYPES["float64"])
+    scores, poses = batches[1].scores[:20], batches[1].poses[:20]
+
+    def routed(lo, hi):
+        params, caps = p, CapsuleBatch(scores[lo:hi], poses[lo:hi])
+        if tracked:
+            tape = T.Tape()
+            params, caps = p.tracked(tape), caps.tracked(tape)
+        return _routed_arrays(route(params, caps, cfg, out_bias=out_bias))
+
+    whole = routed(0, 20)
+    for k in range(20):
+        for name, value in routed(k, k + 1).items():
+            want = whole[name][k:k + 1]
+            assert value.tobytes() == want.tobytes(), (k, name)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
