@@ -357,11 +357,11 @@ def compute_votes(params: RoutingParams, caps: CapsuleBatch,
     bias and requires ``out_bias`` of shape (n_out, d_cov, d_out). The
     votes are pooled: no call reuses them while they or their tape live.
 
-    One batched matmul writes them into strided views of that buffer,
-    the bias folded in. Where numpy would take a matrix-vector kernel that
-    rounds otherwise (rows, batch x n_in or batch in fixed mode, d_cov or
-    d_out of 1) or the bias is wider than the product, the product in the
-    operands' dtype comes first. Each rounds as ``poses @ weights + bias``.
+    One batched matmul writes them into strided views of that buffer, the
+    bias folded in; a matrix-vector shape (rows, batch x n_in or batch in
+    fixed mode, d_cov or d_out of 1) or a bias wider than the product adds
+    it after the product. The bytes equal ``poses @ weights + bias`` where
+    the BLAS sums each dot product in order (the votes' grid test checks).
     """
     poses = T.as_tensor(caps.poses)
     _, n, c, d = poses.shape
@@ -395,17 +395,17 @@ def compute_votes(params: RoutingParams, caps: CapsuleBatch,
                                      config.d_out) > 1:
         # the bias is each weight block's last row, against a column of
         # ones: (rows x (d + 1)) @ ((d + 1) x h) per (c, j), or (i, j, c)
-        a = np.empty(pd.shape[:-1] + (d + 1,), mm_dtype)  # (b, i, c, d+1)
+        a = T._buffer(pd.shape[:-1] + (d + 1,), mm_dtype)  # (b, i, c, d+1)
         a[..., :d], a[..., d] = pd, 1
-        w = np.empty(bias.shape[:-1] + (d + 1, config.d_out), mm_dtype)
+        w = T._buffer(bias.shape[:-1] + (d + 1, config.d_out), mm_dtype)
         w[..., :d, :], w[..., d, :] = wd[..., None, :, :], bias.data
         if fixed:  # (i, 1, c, b, d+1) @ (i, j, c, d+1, h) -> (i, j, c, b, h)
             a = a.transpose(1, 2, 0, 3)[:, None]
             view = out.transpose(1, 2, 3, 0, 4)
         else:  # (c, b i, d+1) @ (j, c, d+1, h) -> (j, c, b i, h)
-            a = np.reshape(a, (-1, c, d + 1), copy=False).transpose(1, 0, 2)
-            view = np.reshape(out, (-1,) + out.shape[2:],
-                              copy=False).transpose(1, 2, 0, 3)
+            # both C-contiguous buffers, so each reshape is a view
+            a = a.reshape(-1, c, d + 1).transpose(1, 0, 2)
+            view = out.reshape((-1,) + out.shape[2:]).transpose(1, 2, 0, 3)
         np.matmul(a, w, out=view)
     else:
         # the product goes there only in its own shape and dtype, so the
