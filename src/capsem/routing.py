@@ -356,12 +356,8 @@ def compute_votes(params: RoutingParams, caps: CapsuleBatch,
     indexes the sharing mode drops. Variable-output mode has no learned
     bias and requires ``out_bias`` of shape (n_out, d_cov, d_out). The
     votes are pooled: no call reuses them while they or their tape live.
-
-    One batched matmul writes them into strided views of that buffer, the
-    bias folded in; a matrix-vector shape (rows, batch x n_in or batch in
-    fixed mode, d_cov or d_out of 1) or a bias wider than the product adds
-    it after the product. The bytes equal ``poses @ weights + bias`` where
-    the BLAS sums each dot product in order (the votes' grid test checks).
+    Every vote is a (d_cov x d_in) @ (d_in x d_out) product of one shape,
+    then the bias, so under any BLAS kernel its bytes ignore the batch.
     """
     poses = T.as_tensor(caps.poses)
     _, n, c, d = poses.shape
@@ -390,32 +386,12 @@ def compute_votes(params: RoutingParams, caps: CapsuleBatch,
     mm_dtype = np.result_type(pd, wd)
     out = T._buffer((len(pd), n) + bias.shape[-3:],
                     np.result_type(mm_dtype, bias.data))
-    fixed = config.mode == "fixed"
-    if out.dtype == mm_dtype and min(len(pd) * (1 if fixed else n), c,
-                                     config.d_out) > 1:
-        # the bias is each weight block's last row, against a column of
-        # ones: (rows x (d + 1)) @ ((d + 1) x h) per (c, j), or (i, j, c)
-        a = T._buffer(pd.shape[:-1] + (d + 1,), mm_dtype)  # (b, i, c, d+1)
-        a[..., :d], a[..., d] = pd, 1
-        w = T._buffer(bias.shape[:-1] + (d + 1, config.d_out), mm_dtype)
-        w[..., :d, :], w[..., d, :] = wd[..., None, :, :], bias.data
-        if fixed:  # (i, 1, c, b, d+1) @ (i, j, c, d+1, h) -> (i, j, c, b, h)
-            a = a.transpose(1, 2, 0, 3)[:, None]
-            view = out.transpose(1, 2, 3, 0, 4)
-        else:  # (c, b i, d+1) @ (j, c, d+1, h) -> (j, c, b i, h)
-            # both C-contiguous buffers, so each reshape is a view
-            a = a.reshape(-1, c, d + 1).transpose(1, 0, 2)
-            view = out.reshape((-1,) + out.shape[2:]).transpose(1, 2, 0, 3)
-        np.matmul(a, w, out=view)
-    else:
-        # the product goes there only in its own shape and dtype, so the
-        # buffer never decides which loop numpy computes it with
-        fits = out.dtype == mm_dtype and config.mode != "variable_output"
-        base = np.matmul(pd[:, :, None], wd, out=out if fits else None)
-        np.add(base, bias.data, out=out)
-    w_spec = "ijdh" if fixed else "jdh"
-    base_shape = (len(pd), n, wd.shape[-3], c, config.d_out)
-    bias_shape, w_shape = bias.shape, weights.shape
+    # the product goes there only in its own shape and dtype, so the
+    # buffer never decides which loop numpy computes it with
+    fits = out.dtype == mm_dtype and config.mode != "variable_output"
+    base = np.matmul(pd[:, :, None], wd, out=out if fits else None)
+    w_spec = "ijdh" if config.mode == "fixed" else "jdh"
+    base_shape, bias_shape, w_shape = base.shape, bias.shape, weights.shape
     # a VJP holds no Tensor, which would tie the tape into a cycle
     const_poses = poses.node is None
 
@@ -426,7 +402,8 @@ def compute_votes(params: RoutingParams, caps: CapsuleBatch,
                 T._product(g_base, "bijch", pd, "bicd", w_spec)
                 .reshape(w_shape), T._unbroadcast(g, bias_shape))
 
-    return T.record(out, (poses, weights, bias), vjp)
+    return T.record(np.add(base, bias.data, out=out), (poses, weights, bias),
+                    vjp)
 
 
 def _deviations(v: np.ndarray, mu: np.ndarray) -> np.ndarray:

@@ -3,6 +3,7 @@ import functools
 import itertools
 import math
 import os
+import platform
 import subprocess
 import sys
 import threading
@@ -177,10 +178,9 @@ def test_votes_are_one_node_equal_to_their_generic_composition(mode):
 
 
 def test_votes_equal_the_product_then_the_bias_bit_for_bit():
-    # the votes fold the bias into one batched matmul, except where a
-    # matrix-vector product would round otherwise (one row, d_cov or
-    # d_out of 1) or the bias is wider than the product; in every case
-    # and dtype mix each vote must round as the product, then the bias
+    # in every shape and dtype mix, including a row, d_cov or d_out of 1
+    # and a bias wider than the product, each vote must round as the
+    # product, then the bias
     rng = np.random.default_rng(30)
     grid = itertools.product(R.MODES, (1, 4), (1, 4), (1, 4), (1, 2, 20),
                              (1, 10), WORKSPACE_DTYPES, (False, True))
@@ -1745,8 +1745,7 @@ def test_split_route_with_cold_and_warm_plans_equals_the_unsplit_route(
                          ids=["untracked", "tracked"])
 @pytest.mark.parametrize("mode", R.MODES)
 def test_a_sample_routes_alone_as_in_a_batch_bit_for_bit(mode, tracked):
-    # routing never mixes samples, and the votes' batched matmul has one
-    # row per sample in fixed mode: a batch of one must round as a row of
+    # routing never mixes samples: a batch of one must round as a row of
     # a larger batch does
     cfg, p, out_bias, batches = _workspace_case(mode,
                                                 WORKSPACE_DTYPES["float64"])
@@ -1764,6 +1763,71 @@ def test_a_sample_routes_alone_as_in_a_batch_bit_for_bit(mode, tracked):
         for name, value in routed(k, k + 1).items():
             want = whole[name][k:k + 1]
             assert value.tobytes() == want.tobytes(), (k, name)
+
+
+# Run under OpenBLAS's Nehalem kernel, where a GEMM's bytes were seen to
+# depend on its row count; prints "skip: ..." where that kernel is not the
+# one loaded, or numpy's BLAS does not name its kernel (None).
+NEHALEM_BATCHES = r"""
+import ctypes
+import numpy as np
+from capsem import routing as R
+from capsem.routing import CapsuleBatch, RoutingParams
+
+core = getattr(np, "_core", None) or np.core
+corename = getattr(ctypes.CDLL(core._multiarray_umath.__file__),
+                   "scipy_openblas_get_corename64_", None)
+if corename is not None:
+    corename.restype = ctypes.c_char_p
+kernel = corename and corename()
+if kernel != b"Nehalem":
+    print(f"skip: numpy's BLAS kernel is {kernel!r}, not Nehalem")
+    raise SystemExit
+rng = np.random.default_rng(31)
+for mode in R.MODES:
+    cfg = R.mode_config(mode, 10, 32, d_cov=4, d_in=4, d_out=4)
+    p = RoutingParams.from_items(
+        (name, rng.normal(0.0, 0.5, size=shape))
+        for name, shape in R.param_shapes(cfg).items())
+    out_bias = (rng.normal(0.0, 0.5, size=(32, 4, 4))
+                if mode == "variable_output" else None)
+    scores = rng.uniform(-3.0, 3.0, size=(20, 10))
+    poses = rng.normal(size=(20, 10, 4, 4))
+
+    def arrays(lo, hi):
+        caps = CapsuleBatch(scores[lo:hi], poses[lo:hi])
+        out, trace = R.route(p, caps, cfg, out_bias, want_trace=True)
+        found = {"votes": R.compute_votes(p, caps, cfg, out_bias).data}
+        for name in ("scores", "poses", "variances"):
+            found[name] = getattr(out, name).data
+        for k, step in enumerate(trace.iterations):
+            found.update((f"{name}{k}", v) for name, v in vars(step).items())
+        return found
+
+    alone = [arrays(k, k + 1) for k in range(20)]
+    for size in (2, 10, 20):
+        for name, value in arrays(0, size).items():
+            for k in range(size):
+                want = value[k:k + 1].tobytes()
+                assert alone[k][name].tobytes() == want, (mode, size, k, name)
+print("checked")
+"""
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                    reason="OpenBLAS's Nehalem kernel is x86-64 only")
+def test_a_sample_routes_alone_as_in_a_batch_under_the_nehalem_kernel():
+    # every vote is one product of one shape, so no BLAS kernel's handling
+    # of a GEMM's leftover rows can make a sample's bytes depend on its batch
+    src = os.path.dirname(os.path.dirname(os.path.abspath(R.__file__)))
+    run = subprocess.run([sys.executable, "-c", NEHALEM_BATCHES],
+                         capture_output=True, text=True, timeout=120,
+                         env={**os.environ, "PYTHONPATH": src,
+                              "OPENBLAS_CORETYPE": "Nehalem"})
+    assert run.returncode == 0, run.stderr
+    if run.stdout.startswith("skip:"):
+        pytest.skip(run.stdout.strip())
+    assert run.stdout == "checked\n"
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
