@@ -7,10 +7,10 @@ probabilities, used/ignored shares, and the fitted Gaussian models.
 """
 
 import numpy as np
-from scipy.special import expit
 
 from capsem import CapsuleBatch, RoutingConfig, init_params, route
 from capsem.analysis import trace_summary
+from capsem.tensor import expit
 
 rng = np.random.default_rng(0)
 

@@ -8,7 +8,6 @@ which operate on plain arrays at the data boundary.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import expit
 
 from . import tensor as T
 from .errors import DomainError, ShapeError
@@ -103,7 +102,7 @@ def mix_batch(scores, poses, targets, lam: float, rng):
     def mix(x):
         return lam * x + (1.0 - lam) * x[perm]
 
-    return mask_to_logits(mix(expit(scores))), mix(poses), mix(targets)
+    return mask_to_logits(mix(T.expit(scores))), mix(poses), mix(targets)
 
 
 def channel_embedding(table, channels) -> Tensor:

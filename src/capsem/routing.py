@@ -62,7 +62,6 @@ from dataclasses import dataclass, field
 from typing import Literal, Union
 
 import numpy as np
-from scipy.special import expit
 
 from . import tensor as T
 from .errors import ConfigError, DomainError, ShapeError
@@ -475,7 +474,7 @@ def _assignment_probs(log_dens: Tensor, out_scores: Tensor) -> Tensor:
         dl = g * p
         dl -= p * dl.sum(axis=2, keepdims=True)
         return (None if const_l else dl,
-                None if const_s else dl.sum(axis=1) * expit(-s))
+                None if const_s else dl.sum(axis=1) * T.expit(-s))
 
     return T.record(p, (log_dens, out_scores), vjp)
 
@@ -510,7 +509,7 @@ def d_step(in_scores, probs: Tensor) -> tuple[Tensor, Tensor]:
     1 - logistic(score) the three parts account for the whole capsule."""
     scores = T.as_tensor(in_scores)
     probs = T.as_tensor(probs, like=scores)
-    out = expit(scores.data)
+    out = T.expit(scores.data)
     gate, p, slope = out[..., None], probs.data, out * (1.0 - out)
     const_scores = scores.node is None
     used = T.record(gate * p, (scores, probs), lambda g: (

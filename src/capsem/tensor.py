@@ -3,7 +3,9 @@ reductions, and reverse-mode differentiation on an explicit tape.
 
 The generic ops are elementwise {add, sub, mul, div, neg, exp, log,
 square, logistic, softplus, swish}, two-operand ``contract``, reductions
-{sum, max, mean, logsumexp}, ``softmax``, and ``reshape``. The set is
+{sum, max, mean, logsumexp}, ``softmax``, and ``reshape``. Their logistic
+is :func:`expit`, on plain arrays: finite for every finite input, it is
+exactly 0 where e^-x overflows, and numpy alone computes it. The set is
 open: :func:`record` is the one extension point. Every op, here or in
 another module, computes its result with numpy and records one tape node
 with its own vector-Jacobian product; a fused op, such as the routing
@@ -48,7 +50,6 @@ import threading
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import DomainError, ShapeError
 
@@ -328,6 +329,12 @@ def square(a) -> Tensor:
     a = as_tensor(a)
     ad = a.data
     return record(ad * ad, (a,), lambda g: (2.0 * ad * g,))
+
+
+def expit(x) -> np.ndarray:
+    """logistic(x) = 1 / (1 + e^-x) of an array, in its dtype."""
+    with np.errstate(over="ignore"):  # e^-x = inf gives exactly 0
+        return 1 / (1 + np.exp(-x))
 
 
 def logistic(a) -> Tensor:
