@@ -2,8 +2,9 @@
 
 One routing layer turns ``n_in`` input capsules (a pose matrix of shape
 d_cov x d_in plus a pre-activation score each) into ``n_out`` output
-capsules (pose d_cov x d_out, score, and per-component variance). Votes
-are computed once per call; the loop then alternates three phases:
+capsules (pose d_cov x d_out, score, and per-component variance).
+:func:`route` is :func:`compute_votes` once per call, then n_iters rounds
+of the public :func:`e_step`, :func:`d_step` and :func:`m_step`:
 
   E-step  assign each input a probability distribution over outputs,
           from the outputs' Gaussian models and activations;
@@ -23,14 +24,15 @@ shares, and the M-step's net scores, its mean and variance as one node,
 and a slice node for each. The first assignment is a uniform constant,
 so a layer records 8 n_iters - 1 nodes (23 at n_iters = 3), and 21 when
 the input scores are untracked too, as the first D-step is then
-constant. The log-density after a tracked M-step is one node over that
-M-step's votes and used shares, whose VJP forms v - mu once for both, so
-the votes take 3 gradients per layer at n_iters = 3, not 5. No fused VJP
-forms a gradient for an untracked source. Most sums over inputs and over
-pose components run as batched matmuls (:func:`capsem.tensor._product`).
-The 5-D arrays (the votes, each M-step's (v - mu)^2 for the next
-E-step, the VJPs' v - mu) are pooled by :func:`capsem.tensor._buffer`,
-reused only once no array, Tensor or tape closure holds them.
+constant. After any M-step, the next log-density scores the votes with
+that M-step's (v - mu)^2; after a tracked M-step, it is one node over
+that M-step's votes and used shares, whose VJP forms v - mu once for
+both, so the votes take 3 gradients per layer at n_iters = 3, not 5. No
+fused VJP forms a gradient for an untracked source. Most sums over
+inputs and pose components run as batched matmuls (``T._product``).
+The 5-D arrays (the votes, (v - mu)^2, the VJPs' v - mu) are pooled by
+:func:`capsem.tensor._buffer`, reused only once no array, Tensor or tape
+closure holds them.
 
 Routing never mixes samples. So :func:`route` splits an untracked call
 (no tracked parameter, capsule or ``out_bias``) of ``batch`` samples
@@ -256,7 +258,7 @@ class CapsuleBatch:
 @dataclass
 class RoutingOutput:
     """Output scores, poses, and variances; tensors during a tracked pass.
-    Only a tracked :func:`m_step` sets ``fit`` (see :func:`_moments`)."""
+    ``fit`` is :func:`m_step`'s hand-off to the next :func:`e_step`."""
 
     scores: Tensor    # (batch, n_out)
     poses: Tensor     # (batch, n_out, d_cov, d_out)
@@ -411,33 +413,30 @@ def _deviations(v: np.ndarray, mu: np.ndarray) -> np.ndarray:
                        out=T._buffer(v.shape, np.result_type(v, mu)))
 
 
-def _log_density(votes: Tensor, state: RoutingOutput,
-                 sq: np.ndarray | None = None) -> Tensor:
+def _log_density(votes: Tensor, state: RoutingOutput) -> Tensor:
     """Log of each output's Gaussian density at each input's votes,
     summed over the d_cov x d_out components: shape (batch, n_in, n_out).
-    ``sq``, if given, is (v - mu)^2, as :func:`_moments` gives.
 
     One tape node. With d = v - mu, the VJPs of an output gradient g are
     dv = -g d / var, dmu = -sum_i dv and dvar = (sum_i g d^2 / var -
-    sum_i g) / (2 var). If ``state`` is a tracked M-step's fit of these
-    votes, the node is over that M-step's inputs, the votes and then the
-    used shares, and its VJP runs dmu and dvar through the M-step's VJP
-    with the same d; else it is over the votes, means and variances.
-    The backward recomputes d instead of keeping it, and the quadratic
-    stays in the (v - mu)^2 form, which does not cancel.
+    sum_i g) / (2 var). If ``state`` is an M-step's fit of these votes,
+    the node reads that M-step's (v - mu)^2 and is over its inputs, votes
+    then used shares, and runs dmu and dvar through the M-step's VJP with
+    the same d; else it is over the votes, means and variances. The
+    backward recomputes d instead of keeping it, and the quadratic stays
+    in the (v - mu)^2 form, which does not cancel.
     """
     v, mu, var = votes.data, state.poses.data, state.variances.data
-    if sq is None:
+    fit = state.fit  # Tensors compare by identity
+    if fit is not None and fit[:3] == (state.poses, state.variances, votes):
+        srcs, backprop, sq = (votes, fit[3]), fit[4], fit[5]
+    else:
+        srcs, backprop = (votes, state.poses, state.variances), None
         sq = _deviations(v, mu)
         sq *= sq
     log_norm = np.log(_TWO_PI * var).sum(axis=(2, 3))
     quad = T._product(sq, "bijch", 0.5 / var, "bjch", "bij")
     out = -0.5 * log_norm[:, None] - quad
-    fit = state.fit  # Tensors compare by identity
-    if fit is not None and fit[:3] == (state.poses, state.variances, votes):
-        srcs, backprop = (votes, fit[3]), fit[4]
-    else:
-        srcs, backprop = (votes, state.poses, state.variances), None
     const = [s.node is None for s in srcs]  # a VJP holds no Tensor
 
     def vjp(g):
@@ -479,15 +478,15 @@ def _assignment_probs(log_dens: Tensor, out_scores: Tensor) -> Tensor:
     return T.record(p, (log_dens, out_scores), vjp)
 
 
-def e_step(votes: Tensor, state: RoutingOutput | None, first_iter: bool,
-           sq: np.ndarray | None = None) -> Tensor:
+def e_step(votes: Tensor, state: RoutingOutput | None,
+           first_iter: bool) -> Tensor:
     """Routing probabilities (batch, n_in, n_out); uniform on iteration one.
 
     After the first iteration each row is a softmax over outputs of
     log logistic(score_j) + log density of input i's votes under output
     j's Gaussian, the log-space form of the activation-weighted density
-    ratio, scored with ``sq`` if given (see :func:`_log_density`). A
-    variance whose 0.5 / var overflows its dtype is a DomainError.
+    ratio (see :func:`_log_density`). A variance whose 0.5 / var
+    overflows its dtype is a DomainError.
     """
     b, i, j = votes.shape[:3]
     if first_iter:
@@ -500,7 +499,7 @@ def e_step(votes: Tensor, state: RoutingOutput | None, first_iter: bool,
         raise DomainError(f"output variances must be strictly positive, and "
                           f"above {bound:.3g} in {var.dtype} so that 0.5 / "
                           f"var is finite; raise var_floor")
-    return _assignment_probs(_log_density(votes, state, sq), state.scores)
+    return _assignment_probs(_log_density(votes, state), state.scores)
 
 
 def d_step(in_scores, probs: Tensor) -> tuple[Tensor, Tensor]:
@@ -537,9 +536,9 @@ def _net_scores(used: Tensor, ignored: Tensor, beta_use: Tensor,
 
 
 def _moments(used: Tensor, votes: Tensor, eps: float, floor: float) -> tuple:
-    """The used-share-weighted mean and variance of the votes, the
-    (v - mu)^2 the variance is fitted from, and their ``fit`` (mean,
-    variance, votes, used, VJP body), None if untracked.
+    """The used-share-weighted mean and variance of the votes, and their
+    ``fit`` (mean, variance, votes, used, VJP body if tracked, and the
+    (v - mu)^2 the variance is fitted from).
 
     With D = sum_i u + eps, mu = sum_i u v / D and var = sum_i u
     (v - mu)^2 / D + floor fill the halves of one array, recorded as one
@@ -593,9 +592,8 @@ def _moments(used: Tensor, votes: Tensor, eps: float, floor: float) -> tuple:
                       lambda g: (np.stack((g, np.zeros_like(g))),))
     var_t = T.record(var, (node,),
                      lambda g: (np.stack((np.zeros_like(g), g)),))
-    fit = None if node.tape is None else (mean_t, var_t, votes, used,
-                                          backprop)
-    return mean_t, var_t, sq, fit
+    body = None if node.tape is None else backprop  # which holds dn
+    return mean_t, var_t, (mean_t, var_t, votes, used, body, sq)
 
 
 def m_step(votes: Tensor, used: Tensor, ignored: Tensor,
@@ -604,19 +602,13 @@ def m_step(votes: Tensor, used: Tensor, ignored: Tensor,
 
     Output scores credit each used share with beta_use and debit each
     ignored share with beta_ign, summed over inputs. Means and variances
-    are the used-share-weighted moments of the votes.
+    are the used-share-weighted moments of the votes; ``fit`` keeps their
+    pooled (v - mu)^2 for the next :func:`e_step` while the state lives.
     """
-    return _m_step(votes, used, ignored, params, config)[0]
-
-
-def _m_step(votes: Tensor, used: Tensor, ignored: Tensor,
-            params: RoutingParams, config: RoutingConfig) -> tuple:
-    """:func:`m_step` and its (v - mu)^2, for the next E-step."""
     scores = _net_scores(used, ignored, T.as_tensor(params.beta_use),
                          T.as_tensor(params.beta_ign))
-    poses, variances, sq, fit = _moments(used, votes, config.denom_eps,
-                                         config.var_floor)
-    return RoutingOutput(scores, poses, variances, fit), sq
+    return RoutingOutput(scores, *_moments(used, votes, config.denom_eps,
+                                           config.var_floor))
 
 
 def _cpu_count() -> int:
@@ -629,7 +621,7 @@ def _cpu_count() -> int:
 
 def route(params: RoutingParams, caps: CapsuleBatch, config: RoutingConfig,
           out_bias=None, want_trace: bool = False):
-    """Run the full loop: votes once, then n_iters of E-step/D-step/M-step.
+    """Votes once, then n_iters rounds of the public E-, D- and M-steps.
 
     The whole computation lives on one tape, so gradients flow through
     every iteration. Returns the final RoutingOutput, plus a RoutingTrace
@@ -637,8 +629,9 @@ def route(params: RoutingParams, caps: CapsuleBatch, config: RoutingConfig,
     DomainError when the final outputs are not finite.
 
     The votes and (v - mu)^2 are pooled (:func:`capsem.tensor._buffer`):
-    reused only once no array, Tensor or tape holds them, so every
-    iteration writes one (v - mu)^2 buffer.
+    reused only once no array, Tensor or tape holds them. Each state is
+    dropped once the next E-step has read it, and the result has no
+    ``fit``, so every iteration writes one (v - mu)^2 buffer.
 
     Routing never mixes samples, so an untracked call (no tracked
     parameter, capsule or ``out_bias``) of ``batch`` samples routes as
@@ -693,14 +686,13 @@ def _iterate(params: RoutingParams, caps: CapsuleBatch, config: RoutingConfig,
     """:func:`route`'s loop on one thread: the final RoutingOutput and,
     if ``want_trace``, the IterationTrace list (else empty)."""
     votes = compute_votes(params, caps, config, out_bias)
-    in_scores = T.as_tensor(caps.scores)
-    state, sq = None, None
+    state = None
     steps: list[IterationTrace] = []
     for it in range(config.n_iters):
-        probs = e_step(votes, state, it == 0, sq)
-        sq = None  # free for this M-step's
-        used, ignored = d_step(in_scores, probs)
-        state, sq = _m_step(votes, used, ignored, params, config)
+        probs = e_step(votes, state, it == 0)
+        state = None  # its (v - mu)^2 is free for this M-step's
+        used, ignored = d_step(caps.scores, probs)
+        state = m_step(votes, used, ignored, params, config)
         if want_trace:
             steps.append(IterationTrace(
                 probs=np.array(probs.data, copy=True),
@@ -708,7 +700,7 @@ def _iterate(params: RoutingParams, caps: CapsuleBatch, config: RoutingConfig,
                 ignored=np.array(ignored.data, copy=True),
                 scores=np.array(state.scores.data, copy=True),
             ))
-    return state, steps
+    return RoutingOutput(state.scores, state.poses, state.variances), steps
 
 
 # ---------------------------------------------------------------------------

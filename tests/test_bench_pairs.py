@@ -1,5 +1,10 @@
 import importlib.util
+import json
 import mmap
+import os
+import platform
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -138,3 +143,41 @@ def test_run_once_stops_on_a_run_without_a_result_line(tmp_path, capsys):
     with pytest.raises(SystemExit, match="exit 3"):
         bench_pairs.run_once(tmp_path, "w", 7, 2)
     assert "broken" in capsys.readouterr().err
+
+
+def test_blas_kernel_names_the_loaded_kernel_or_says_it_cannot(monkeypatch):
+    # OPENBLAS_CORETYPE picks the kernel that numpy's bundled OpenBLAS
+    # loads; every x86-64 CPU this suite runs on can run Nehalem's
+    kernel = bench_pairs.blas_kernel()
+    assert kernel
+    if kernel != bench_pairs.NO_KERNEL_NAME and \
+            platform.machine() == "x86_64":
+        probe = ("import sys; sys.path[:0] = [sys.argv[1]]; "
+                 "from bench_pairs import blas_kernel; print(blas_kernel())")
+        out = subprocess.run(
+            [sys.executable, "-c", probe, str(_PATH.parent)],
+            env=dict(os.environ, OPENBLAS_CORETYPE="Nehalem"),
+            capture_output=True, text=True, check=True).stdout
+        assert out.strip() == "Nehalem"
+    # a BLAS that does not name its kernel
+    monkeypatch.setattr(bench_pairs.ctypes, "CDLL", lambda path: object())
+    assert bench_pairs.blas_kernel() == bench_pairs.NO_KERNEL_NAME
+
+
+def test_the_output_file_names_the_cpu_and_the_blas_kernel(tmp_path):
+    # one pair of a stand-in workload whose runs print a result line
+    metric = {"name": "samples_per_s", "unit": "1/s", "better": "higher",
+              "bound": 0.2}
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(
+        {"run_seconds": 1, "workloads": [{"name": "w"}],
+         "end_to_end": [metric]}))
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(
+        "import json\n"
+        "print(json.dumps({'correct': True, 'attempted': 1, 'failed': 0, "
+        "'metrics': {'samples_per_s': {'value': 1.0}}}))\n")
+    out = tmp_path / "BENCH.json"
+    bench_pairs.main([str(tmp_path), str(tmp_path), "1", "--out", str(out)])
+    host = json.loads(out.read_text())["host"]
+    assert bench_pairs.cpu_model() in host
+    assert f"OpenBLAS kernel {bench_pairs.blas_kernel()};" in host

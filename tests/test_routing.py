@@ -310,6 +310,40 @@ def test_e_step_matches_direct_density_formula():
         assert rel.max() <= 1e-6
 
 
+@pytest.mark.parametrize("tracked", [False, True],
+                         ids=["untracked", "tracked"])
+@pytest.mark.parametrize("other", ["votes", "poses", "variances"])
+def test_e_step_reads_no_squared_deviations_of_other_votes_or_moments(
+        other, tracked):
+    # an M-step's fit hands its (v - mu)^2 only to an E-step of the same
+    # votes, mean and variance: with any of them replaced, the E-step
+    # gives the bits, and the gradients, of the same state with no fit
+    rng = np.random.default_rng(37)
+    cfg, p, caps, _ = random_instance(rng, mode="fixed", batch=3)
+    v = compute_votes(p, caps, cfg).data
+    tape = T.Tape()
+    leaf = tape.leaf if tracked else T.tensor
+    votes = leaf(v)
+    probs = T.softmax(T.tensor(rng.normal(size=v.shape[:3])), axis=2)
+    used, ignored = d_step(leaf(caps.scores), probs)
+    state = m_step(votes, used, ignored, p, cfg)
+    assert state.fit is not None
+    if other == "votes":
+        votes = leaf(rng.normal(size=v.shape))
+    else:
+        value = getattr(state, other).data
+        state = dataclasses.replace(state, **{other: leaf(value * 1.5)})
+    bare = R.RoutingOutput(state.scores, state.poses, state.variances)
+    got, want = (e_step(votes, s, first_iter=False) for s in (state, bare))
+    assert got.data.tobytes() == want.data.tobytes()
+    if tracked:
+        grads = [T.backward(tape, T.reduce_sum(T.square(x)))
+                 for x in (got, want)]
+        assert grads[0].keys() == grads[1].keys()
+        for node, g in grads[1].items():
+            assert grads[0][node].tobytes() == g.tobytes(), node
+
+
 # ---------------------------------------------------------------------------
 # d_step
 
@@ -474,7 +508,7 @@ def _mean_case(fixed):
 
 def _fused_boundary(x):
     # an M-step's fit hands the log-density node the M-step's inputs
-    mean, var, _, fit = _fused_moments(x)
+    mean, var, fit = _fused_moments(x)
     return R._log_density(x["votes"], R.RoutingOutput(None, mean, var, fit))
 
 
@@ -655,7 +689,7 @@ def test_moments_vjp_equals_its_full_formula_bit_for_bit(reads_var, dtype):
     x = _fused_operands(35, dtype=dtype)
     tape = T.Tape()
     used, votes = tape.leaf(x["used"]), tape.leaf(x["votes"])
-    mean, var, _, fit = R._moments(used, votes, MOMENTS_EPS, 0.01)
+    mean, var, fit = R._moments(used, votes, MOMENTS_EPS, 0.01)
     u, mu = x["used"], mean.data
     dn = (u.sum(axis=1) + np.asarray(MOMENTS_EPS, dtype))[..., None, None]
     rng = np.random.default_rng(36)
@@ -827,18 +861,26 @@ def test_route_single_iteration_equals_m_step_of_uniform():
                          ids=["untracked", "tracked"])
 @pytest.mark.parametrize("tie", [False, True], ids=["untied", "tied"])
 @pytest.mark.parametrize("mode", R.MODES)
-def test_route_equals_its_public_phases_bit_for_bit(mode, tie, tracked):
-    # route() hands each M-step's squared deviations to the next E-step;
-    # the public phases compute them afresh and must give the same bits
+def test_route_equals_its_public_phases_bit_for_bit(monkeypatch, mode, tie,
+                                                    tracked):
+    # route() runs the public phases, whose M-steps hand each (v - mu)^2
+    # to the next E-step in their fit: composed by hand they give the same
+    # bits and form as many (v - mu)^2 in the forward, one per M-step
     rng = np.random.default_rng(17)
     cfg, p, caps, out_bias = random_instance(rng, mode=mode, tie=tie,
                                              batch=3, n_iters=3)
+    deviations = R._deviations
 
     def run(fn):
         tape = T.Tape()
         params, batch = (p.tracked(tape), caps.tracked(tape)) if tracked \
             else (p, caps)
-        out = fn(params, batch)
+        formed = []
+        with monkeypatch.context() as m:  # the forward pass only
+            m.setattr(R, "_deviations",
+                      lambda *args: formed.append(1) or deviations(*args))
+            out = fn(params, batch)
+        assert len(formed) == cfg.n_iters
         values = [getattr(out, name).data
                   for name in ("scores", "poses", "variances")]
         if tracked:

@@ -14,7 +14,9 @@ has the schema of the repository's ``BENCH_*.json`` files: a ``summary``
 per workload and end-to-end metric of ``BENCHMARK.json``, and every run
 under ``pairs``. Each run entry also keeps the process's minor page
 faults and peak resident set size, from ``os.wait4``, and the summary
-gives their medians per side, which no rule below gates.
+gives their medians per side, which no rule below gates. The ``host``
+field names the CPU model and the OpenBLAS kernel that numpy loaded
+(:func:`blas_kernel`), since a product's bytes and speed depend on it.
 
 For each metric the report gives the parent's quartiles, the change's
 median and the pairs the change won (ties count for neither side). A gain
@@ -29,6 +31,7 @@ is unresolved, unless every change run beats every parent run.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import os
 import platform
@@ -41,6 +44,37 @@ from pathlib import Path
 # per-run process counters from os.wait4: minor page faults, and the peak
 # resident set size in KiB (Linux's unit for ru_maxrss)
 USAGE = ("ru_minflt", "ru_maxrss")
+
+NO_KERNEL_NAME = "a kernel OpenBLAS does not name"
+
+
+def blas_kernel() -> str:
+    """The OpenBLAS kernel numpy loaded (``OPENBLAS_CORETYPE`` overrides
+    the CPU's), as its bundled OpenBLAS names it; :data:`NO_KERNEL_NAME`
+    where numpy's ``_multiarray_umath`` has no
+    ``scipy_openblas_get_corename64_``, as with another BLAS."""
+    import numpy as np
+    core = getattr(np, "_core", None) or np.core
+    lib = ctypes.CDLL(core._multiarray_umath.__file__)
+    name = getattr(lib, "scipy_openblas_get_corename64_", None)
+    if name is None:
+        return NO_KERNEL_NAME
+    name.restype = ctypes.c_char_p
+    return name().decode()
+
+
+def cpu_model() -> str:
+    """The first "model name" of /proc/cpuinfo, or the platform's
+    processor string where that is missing."""
+    try:
+        with open("/proc/cpuinfo") as info:
+            for line in info:
+                key, _, value = line.partition(":")
+                if key.strip() == "model name":
+                    return value.strip()
+    except OSError:
+        pass
+    return platform.processor() or "an unnamed CPU"
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -208,8 +242,9 @@ def main(argv=None) -> int:
                   f"{args.seed + args.pairs - 1} for each workload, odd "
                   "pairs run the change first",
         "host": f"{os.cpu_count()}-CPU {platform.machine()} "
-                f"{platform.system()}; each side run from its own copy of "
-                "the tree",
+                f"{platform.system()}, {cpu_model()}, OpenBLAS kernel "
+                f"{blas_kernel()}; each side run from its own copy of the "
+                "tree",
         "claimed": args.claim,
         "note": args.note,
         "summary": {},
